@@ -128,7 +128,6 @@ class BundleTangent:
     @classmethod
     def from_arrays(cls, d_base, arrays) -> "BundleTangent":
         arrays = [np.asarray(arr, dtype=float) for arr in arrays]
-        n = np.asarray(d_base).shape[0] if np.asarray(d_base).ndim else 1
         n = np.asarray(d_base).reshape(-1).shape[0]
         tensors = tuple(
             LowerTensor(n, k, arr) for k, arr in enumerate(arrays, start=1)
@@ -295,7 +294,6 @@ class TangentIso:
         self.matrix = translation_matrix(u.arrays, self.n, self.r)
         if np.linalg.cond(self.matrix) > 1e8:
             raise SingularityError("right-translation matrix is ill-conditioned")
-        self._lu = None
 
     def apply(self, Y: JetAlgebraElement) -> BundleTangent:
         """Push an algebra vector to a tangent at u (orders 0..r-1 rows)."""

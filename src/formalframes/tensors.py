@@ -68,6 +68,12 @@ class LowerTensor:
                 f"got {arr.size}"
             )
         arr = arr.reshape(expected).copy()
+        if not np.isfinite(arr).all():
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+            raise ValueError(
+                f"(n={self.n}, k={self.k}) tensor has non-finite entry "
+                f"{arr[bad]} at index {bad}"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

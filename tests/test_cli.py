@@ -115,3 +115,19 @@ def test_verify_deterministic_and_exit_codes():
     # an impossible tolerance is reported as a property failure
     res = run_cli("verify", "--seed", "3", "--trials", "2", "--atol", "1e-30")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_input_exits_2(tmp_path, bad):
+    from conftest import rand_frame
+
+    doc = rand_frame(np.random.default_rng(5), 2, 3).to_json()
+    doc["tensors"][1]["entries"][3] = bad
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("torsion", "--input", str(path))
+    assert res.returncode == 2, res.stderr
+    assert "non-finite" in res.stderr
+    res = run_cli("invert", stdin=json.dumps(element_json([[2.0]], [[[bad]]])))
+    assert res.returncode == 2, res.stderr
+    assert "non-finite" in res.stderr

@@ -9,7 +9,9 @@ from formalframes import (
     RealizabilityDisagreement,
     TorsionType,
     adjoint_action,
+    algebra_size,
     canonical_form,
+    coord_size,
     curvature,
     enumerate_torsion_types,
     realizability_check,
@@ -20,7 +22,8 @@ from formalframes import (
     symmetrize_array,
     torsion,
 )
-from formalframes.forms import form_partials, torsion_wedge_terms
+from formalframes.bundle import translation_matrix
+from formalframes.forms import form_partials, torsion_wedge_terms, translation_matrix_derivative
 
 
 def frame1d(base, *vals):
@@ -280,3 +283,96 @@ def test_schwarzian_moebius_and_cocycle():
         rhs = (schwarzian([t.reshape(()) for t in Tphi.arrays]) * fp ** 2
                + schwarzian([t.reshape(()) for t in Tf.arrays]))
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+# --------------------------------------------------------------------------
+# the sparse calculus against the dense formulas it replaced
+
+
+def _scaled_frame(rng, n, r, classical, scale):
+    u = rand_frame(rng, n, r, classical)
+    return FrameCoords.from_arrays(u.base, [u.arrays[0] * scale] + u.arrays[1:])
+
+
+def _dense_dL(n, r):
+    """(M, N, N) stack of ∂L/∂u_A, each slice L at a unit frame tensor."""
+    shapes = [(n,) * (k + 1) for k in range(1, r + 1)]
+    dL = np.zeros((coord_size(n, r), algebra_size(n, r), algebra_size(n, r)))
+    pos = n
+    for order, shape in enumerate(shapes):
+        for local in range(int(np.prod(shape))):
+            arrays = [np.zeros(s) for s in shapes]
+            arrays[order].flat[local] = 1.0
+            dL[pos] = translation_matrix(arrays, n, r)
+            pos += 1
+    return dL
+
+
+def _rel_gap(x, ref, *terms):
+    """Gap relative to the largest of ref and the terms summed into it."""
+    scale = max([1.0] + [float(np.max(np.abs(y))) for y in (ref,) + terms])
+    return gap(x, ref) / scale
+
+
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 4), (3, 3)])
+def test_derivative_triplets_rebuild_translation_matrix(n, r):
+    u = rand_frame(np.random.default_rng(20 + n + r), n, r)
+    A, j, k, value = translation_matrix_derivative(n, r)
+    assert np.all(np.diff(A) >= 0) and A.min() >= n  # sorted, no base coordinate
+    L = np.zeros((j.max() + 1,) * 2)
+    np.add.at(L, (j, k), u.coords_flat()[A] * value)
+    want = translation_matrix(u.arrays, n, r)
+    assert _rel_gap(L, want) < 1e-14
+    dense = _dense_dL(n, r)
+    from_triplets = np.zeros_like(dense)
+    from_triplets[A, j, k] = value
+    assert np.array_equal(from_triplets, dense)
+    assert translation_matrix_derivative(n, r) is translation_matrix_derivative(n, r)
+
+
+@pytest.mark.parametrize("n,r", [(2, 3), (2, 4), (3, 3)])
+def test_sparse_calculus_matches_dense_formulas(n, r):
+    rng = np.random.default_rng(30 + n + r)
+    dL = _dense_dL(n, r)
+    for classical in (True, False):
+        for scale in (0.1, 10.0):
+            calc = FrameCalculus(_scaled_frame(rng, n, r, classical, scale))
+            G = -np.einsum("ij,Ajk,kB->iAB", np.linalg.inv(calc.iso.matrix), dL,
+                           calc.theta_table)
+            assert _rel_gap(calc.partials, G) < 1e-12
+            dtheta = G - G.transpose(0, 2, 1)
+            for k in range(r):
+                rows = dtheta[calc.component_rows(k)]
+                want = rows.reshape((n,) * (k + 1) + (calc.M, calc.M))
+                assert _rel_gap(calc.dtheta_component(k), want) < 1e-12
+            letters = "abcdefghijklmnopqrstuvwxyz"
+            for k in range(1, r):
+                d = dtheta[calc.component_rows(k - 1)].reshape((n,) * k + (calc.M, calc.M))
+                for t in enumerate_torsion_types(k):
+                    wedge = np.zeros_like(d)
+                    out = "i" + letters[: k - 1] + "AB"
+                    for first, second in torsion_wedge_terms(t):
+                        a = len(first) - 1
+                        sub1 = "i" + "".join("l" if q == "l" else letters[q]
+                                             for q in first) + "A"
+                        sub2 = "l" + "".join(letters[q] for q in second) + "B"
+                        W = np.einsum(f"{sub1},{sub2}->{out}", calc.theta_component(a + 1),
+                                      calc.theta_component(k - 1 - a))
+                        wedge += W - np.swapaxes(W, -1, -2)
+                    assert _rel_gap(calc.torsion_table(t), d + wedge, d, wedge) < 1e-12
+            O1 = calc.theta_component(1)
+            W = np.einsum("iaA,ajB->ijAB", O1, O1)
+            wedge = W - np.swapaxes(W, -1, -2)
+            d = dtheta[calc.component_rows(1)].reshape(n, n, calc.M, calc.M)
+            assert _rel_gap(calc.curvature_table(), d + wedge, d, wedge) < 1e-12
+
+
+def test_torsion_tables_do_not_need_kept_partials():
+    u = rand_frame(np.random.default_rng(40), 2, 3)
+    fresh, kept = FrameCalculus(u), FrameCalculus(u)
+    kept.partials
+    t = TorsionType(2, (2,))
+    assert gap(fresh.torsion_table(t), kept.torsion_table(t)) < 1e-14
+    assert fresh._partials is None
+    rows = kept.partials[kept.component_rows(1)].reshape(2, 2, kept.M, kept.M)
+    assert gap(form_partials(u, component=1), rows) < 1e-14

@@ -1,0 +1,11 @@
+import re
+from pathlib import Path
+
+import formalframes
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert formalframes.__version__ == match.group(1)

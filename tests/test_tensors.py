@@ -58,3 +58,11 @@ def test_symmetrize_tensor_wrapper():
     arr[1, 0, 1] = 2.0
     t = symmetrize(LowerTensor(2, 2, arr))
     assert t.entries[1, 0, 1] == t.entries[1, 1, 0] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lower_tensor_rejects_non_finite_entries(bad):
+    arr = np.zeros((2, 2, 2))
+    arr[1, 0, 1] = bad
+    with pytest.raises(ValueError, match=r"n=2, k=2.*\(1, 0, 1\)"):
+        LowerTensor(2, 2, arr)
