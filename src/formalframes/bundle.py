@@ -18,6 +18,7 @@ from .charts import TransitionJet
 from .jetgroup import (
     JetAlgebraElement,
     JetGroupElement,
+    _LETTERS,
     _validate_tensor_list,
     compose_right_derivative,
     compose_tensors,
@@ -33,8 +34,6 @@ from .tensors import (
 # the canonical form takes values in the identity tangent space one order
 # down; AlgebraVector is that value type (base displacement included)
 AlgebraVector = JetAlgebraElement
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def algebra_size(n: int, r: int) -> int:
@@ -299,24 +298,15 @@ class TangentIso:
         """Push an algebra vector to a tangent at u (orders 0..r-1 rows)."""
         if Y.n != self.n or Y.r != self.r:
             raise ShapeMismatchError("algebra vector shape mismatch")
-        out = self.matrix @ Y.flat()
-        n = self.n
-        arrays, pos = [], n
-        d_base = out[:n]
-        for k in range(1, self.r):
-            size = n ** (k + 1)
-            arrays.append(out[pos:pos + size].reshape((n,) * (k + 1)))
-            pos += size
         # top-order slot not determined by the lower-level tangent space
-        arrays.append(np.zeros((n,) * (self.r + 1)))
-        return BundleTangent.from_arrays(d_base, arrays)
+        top = np.zeros(self.n ** (self.r + 1))
+        return BundleTangent.from_flat(
+            self.n, self.r, np.concatenate([self.matrix @ Y.flat(), top])
+        )
 
     def solve(self, X: BundleTangent) -> JetAlgebraElement:
         """Invert L_u on the order-(r-1) projection of X (top order dropped)."""
-        vec = np.concatenate(
-            [X.d_base] + [arr.ravel() for arr in X.arrays[: self.r - 1]]
-        )
-        sol = np.linalg.solve(self.matrix, vec)
+        sol = np.linalg.solve(self.matrix, X.flat()[: self.N])
         return JetAlgebraElement.from_flat(self.n, self.r, sol)
 
 

@@ -17,8 +17,8 @@ from .bundle import FrameCoords
 from .charts import SmoothMapSpec, transition_jet
 from .forms import RealizabilityDisagreement, realizability_check, schwarzian
 from .jetgroup import JetGroupElement, jet_compose, jet_inverse, kappa_project
-from .tensors import ShapeMismatchError, SingularityError, symmetrize_array
-from .verify import VerifyConfig, run_suites
+from .tensors import ShapeMismatchError, SingularityError
+from .verify import VerifyConfig, rand_frame, run_suites
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -45,15 +45,6 @@ def _load(args) -> dict:
         raise ShapeMismatchError(f"cannot read input document: {exc}") from exc
 
 
-def _random_frame(rng, n, r, classical):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    arrays = [q * rng.uniform(0.5, 2.0)]
-    for k in range(2, r + 1):
-        arr = rng.uniform(-1, 1, (n,) * (k + 1))
-        arrays.append(symmetrize_array(arr) if classical else arr)
-    return FrameCoords.from_arrays(rng.uniform(-1, 1, n), arrays)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -75,7 +66,7 @@ def cmd_torsion(args) -> int:
     rng = np.random.default_rng([args.seed, 0])
     verdicts = []
     for i in range(trials):
-        frame = _random_frame(rng, args.n, args.r, classical=i % 2 == 0)
+        frame = rand_frame(rng, args.n, args.r, classical=i % 2 == 0)
         res = realizability_check(frame, tol=args.atol)
         verdicts.append({
             "trial": i,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import FrameCoords, right_action
-from .charts import SmoothMapSpec, TransitionJet, transition_jet
+from .charts import TransitionJet, transition_jet
 from .connection import ChristoffelField, christoffel_transform
 from .fields import PolyField
 from .jetgroup import JetGroupElement

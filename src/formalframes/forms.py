@@ -13,7 +13,6 @@ Exterior derivatives are evaluated on coordinate vector fields only
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,13 @@ from .bundle import (
     coord_size,
     translation_matrix,
 )
-from .jetgroup import JetAlgebraElement, is_classical
-from .tensors import ShapeMismatchError, SingularityError
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+from .jetgroup import _LETTERS
+from .tensors import (
+    ShapeMismatchError,
+    SingularityError,
+    asymmetry_witness,
+    symmetrize_array,
+)
 
 
 class RealizabilityDisagreement(RuntimeError):
@@ -174,9 +176,6 @@ class FrameCalculus:
 
     def canonical_form(self, X: BundleTangent) -> AlgebraVector:
         return self.iso.solve(X)
-
-    def theta_of_flat(self, x_flat: np.ndarray) -> np.ndarray:
-        return self.theta_table @ x_flat
 
     @property
     def partials(self) -> np.ndarray:
@@ -330,8 +329,6 @@ def curvature(u: FrameCoords, X: BundleTangent, Y: BundleTangent) -> np.ndarray:
 
 def classical_tangent_projection(X: BundleTangent) -> BundleTangent:
     """Project a tangent onto the tangent space of the symmetric subbundle."""
-    from .tensors import symmetrize_array
-
     arrays = [X.arrays[0]] + [symmetrize_array(a) for a in X.arrays[1:]]
     return BundleTangent.from_arrays(X.d_base, arrays)
 
@@ -355,12 +352,8 @@ def structural_residual(
 
 
 def is_classical_frame(u: FrameCoords, tol: float = 1e-8):
-    worst = {"order": None, "gap": 0.0}
-    for k, arr in enumerate(u.arrays, start=1):
-        for axis in range(1, k):
-            gap = float(np.max(np.abs(arr - np.swapaxes(arr, axis, axis + 1))))
-            if gap > worst["gap"]:
-                worst = {"order": k, "axes": (axis, axis + 1), "gap": gap}
+    """True iff all frame tensors are symmetric; witness as in `is_classical`."""
+    worst = asymmetry_witness(u.arrays)
     return worst["gap"] <= tol, worst
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundle import BundleTangent, FrameCoords
 from .jetgroup import JetGroupElement, jet_compose
-from .tensors import LowerTensor, ShapeMismatchError, SingularityError, check_square
+from .tensors import LowerTensor, ShapeMismatchError, check_square
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ Elements carry tensors ``a[1..r]`` (``a[k]`` of lower order ``k``) with
 ``a[1]`` invertible and *no* symmetry imposed for ``k >= 2``.  The product
 is generated by a formal-differentiation recursion on symbolic terms; the
 order-2 and order-3 closed formulas are kept in the test suite as pinned
-cross-checks.
+cross-checks.  The symmetric (classical) subgroup is composed through the
+same product, as κ∘product∘ε; the truncated-Taylor route lives only in
+`oracles`, which checks it.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,11 +19,10 @@ from .tensors import (
     AsymmetryError,
     LowerTensor,
     ShapeMismatchError,
+    asymmetry_witness,
     check_square,
-    max_asymmetry,
     symmetrize_array,
 )
-from .taylor import TaylorScalar, derivative_tensor
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -179,18 +179,6 @@ class JetGroupElement:
         tensors = [LowerTensor(n, k, arr) for k, arr in enumerate(arrays, start=1)]
         return cls(n, len(arrays), tuple(tensors))
 
-    @classmethod
-    def from_linear(cls, mat, r: int) -> "JetGroupElement":
-        """Inclusion of an invertible matrix as (a, 0, ..., 0).
-
-        Convention: higher tensors vanish; this restricts the product to
-        ordinary matrix multiplication.
-        """
-        mat = check_square(np.asarray(mat, dtype=float), "matrix")
-        n = mat.shape[0]
-        arrays = [mat] + [np.zeros((n,) * (k + 1)) for k in range(2, r + 1)]
-        return cls.from_arrays(arrays)
-
     @property
     def arrays(self):
         return [T.entries for T in self.a]
@@ -273,12 +261,12 @@ class ClassicalJet:
     def __post_init__(self):
         tensors = _validate_tensor_list(self.n, self.r, self.s, "ClassicalJet")
         check_square(tensors[0].entries, "order-1 tensor")
-        for T in tensors:
-            gap = max_asymmetry(T)
-            if gap > self.tol:
-                raise AsymmetryError(
-                    f"order-{T.k} tensor asymmetric (gap {gap:.3g} > {self.tol:.3g})"
-                )
+        worst = asymmetry_witness(T.entries for T in tensors)
+        if worst["gap"] > self.tol:
+            raise AsymmetryError(
+                f"order-{worst['order']} tensor asymmetric "
+                f"(gap {worst['gap']:.3g} > {self.tol:.3g})"
+            )
         object.__setattr__(self, "s", tensors)
         if self.base is not None:
             base = np.asarray(self.base, dtype=float).reshape(self.n)
@@ -363,19 +351,7 @@ def kappa_project(a: JetGroupElement) -> ClassicalJet:
 
 def is_classical(a: JetGroupElement, tol: float = 1e-8):
     """True iff all tensors of order >= 2 are symmetric; includes a witness."""
-    worst = {"order": None, "axes": None, "gap": 0.0}
-    for k, arr in enumerate(a.arrays, start=1):
-        for axis in range(1, k):
-            gap_arr = np.abs(arr - np.swapaxes(arr, axis, axis + 1))
-            gap = float(np.max(gap_arr))
-            if gap > worst["gap"]:
-                idx = np.unravel_index(int(np.argmax(gap_arr)), gap_arr.shape)
-                worst = {
-                    "order": k,
-                    "axes": (axis, axis + 1),
-                    "index": tuple(int(i) for i in idx),
-                    "gap": gap,
-                }
+    worst = asymmetry_witness(a.arrays)
     return worst["gap"] <= tol, worst
 
 
@@ -399,37 +375,9 @@ def adjoint_action(a: JetGroupElement, X: JetAlgebraElement) -> JetAlgebraElemen
 
 
 def classical_compose(c1: ClassicalJet, c2: ClassicalJet) -> ClassicalJet:
-    """Composition of symmetric jets via truncated polynomial composition."""
-    _check_same(c1, c2)
-    n, r = c1.n, c1.r
-    outer = _jet_polynomials(c1)
-    inner = _jet_polynomials(c2)
-    composed = [f.compose(list(inner)) for f in outer]
-    return ClassicalJet.from_arrays(
-        [derivative_tensor(composed, k) for k in range(1, r + 1)]
-    )
+    """Composition of symmetric jets: κ∘(formal product)∘ε.
 
-
-def _jet_polynomials(c: ClassicalJet):
-    """Taylor polynomial of a representative map: f(x) = Σ s[k] x⊗k / k!."""
-    n, r = c.n, c.r
-    comps = []
-    for i in range(n):
-        coeffs = {}
-        for k, arr in enumerate(c.arrays, start=1):
-            fact = float(_factorial(k))
-            for js in itertools.product(range(n), repeat=k):
-                exp = [0] * n
-                for j in js:
-                    exp[j] += 1
-                exp = tuple(exp)
-                coeffs[exp] = coeffs.get(exp, 0.0) + arr[(i,) + js] / fact
-        comps.append(TaylorScalar(n, r, coeffs))
-    return tuple(comps)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    The classical jets form a subgroup of the formal ones, and κ removes the
+    rounding-level asymmetry the formal product leaves behind.
+    """
+    return kappa_project(jet_compose(epsilon_embed(c1), epsilon_embed(c2)))

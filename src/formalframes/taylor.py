@@ -195,13 +195,6 @@ class TaylorScalar:
         return self.compose(shifted)
 
 
-def taylor_compose(outer, inner):
-    """Componentwise composition of tuples of TaylorScalars."""
-    outer = tuple(outer)
-    inner = list(inner)
-    return tuple(f.compose(inner) for f in outer)
-
-
 def derivative_tensor(components, k: int) -> np.ndarray:
     """k-th derivative tensor D^k at 0: D[i, j1..jk] = ∂_{j1}..∂_{jk} f^i(0).
 

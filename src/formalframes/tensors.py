@@ -3,7 +3,9 @@
 A :class:`LowerTensor` stores an array ``T^i_{j1...jk}`` of shape
 ``(n,) * (k + 1)``.  Permuting the lower indices is a genuine relabeling:
 no symmetry is assumed anywhere in this package unless explicitly imposed
-by :func:`symmetrize`.
+by :func:`symmetrize` or :func:`symmetrize_array`.  Whether it holds is
+tested in one place, :func:`asymmetry_witness`, which every symmetry check
+of the package (tensors, jets, frames) calls.
 """
 from __future__ import annotations
 
@@ -122,17 +124,32 @@ def symmetrize_array(arr: np.ndarray) -> np.ndarray:
     return acc / count
 
 
-def max_asymmetry(T: LowerTensor | np.ndarray) -> float:
-    """Worst gap |T - T∘swap| over adjacent lower-index transpositions.
+def asymmetry_witness(arrays) -> dict:
+    """Worst gap |T - T∘swap| over adjacent lower-index swaps of each array.
 
-    Zero iff T is symmetric under adjacent transpositions, hence (since
-    adjacent transpositions generate the symmetric group) under all
-    permutations of the lower indices.
+    Returns the lower order (``ndim - 1``) of the worst array, the swapped
+    axes, the entry of the largest gap and the gap (0.0 and ``None``s when
+    all are symmetric).  Adjacent swaps generate all permutations, so a zero
+    gap means full symmetry in the lower indices.
     """
-    arr = T.entries if isinstance(T, LowerTensor) else np.asarray(T, dtype=float)
-    k = arr.ndim - 1
-    worst = 0.0
-    for axis in range(1, k):
-        gap = float(np.max(np.abs(arr - np.swapaxes(arr, axis, axis + 1))))
-        worst = max(worst, gap)
+    worst = {"order": None, "axes": None, "index": None, "gap": 0.0}
+    for arr in arrays:
+        arr = np.asarray(arr, dtype=float)
+        for axis in range(1, arr.ndim - 1):
+            gap_arr = np.abs(arr - np.swapaxes(arr, axis, axis + 1))
+            flat = int(np.argmax(gap_arr))
+            gap = float(gap_arr.flat[flat])
+            if gap > worst["gap"]:
+                worst = {
+                    "order": arr.ndim - 1,
+                    "axes": (axis, axis + 1),
+                    "index": tuple(int(i) for i in np.unravel_index(flat, gap_arr.shape)),
+                    "gap": gap,
+                }
     return worst
+
+
+def max_asymmetry(T: LowerTensor | np.ndarray) -> float:
+    """Worst gap |T - T∘swap| over adjacent lower-index transpositions."""
+    arr = T.entries if isinstance(T, LowerTensor) else T
+    return asymmetry_witness([arr])["gap"]

@@ -90,58 +90,56 @@ class VerifyConfig:
 
 
 # ---------------------------------------------------------------------------
-# random data helpers
+# random data helpers, shared with the command line and the test suite
 
 
-def _rand_linear(rng, n):
+def rand_linear(rng, n):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q * rng.uniform(0.5, 2.0)
 
 
-def _rand_group(rng, n, r):
-    arrays = [_rand_linear(rng, n)] + [
+def rand_group(rng, n, r):
+    arrays = [rand_linear(rng, n)] + [
         rng.uniform(-1, 1, (n,) * (k + 1)) for k in range(2, r + 1)
     ]
     return JetGroupElement.from_arrays(arrays)
 
 
-def _rand_classical(rng, n, r):
-    arrays = [_rand_linear(rng, n)] + [
+def rand_classical(rng, n, r):
+    arrays = [rand_linear(rng, n)] + [
         symmetrize_array(rng.uniform(-1, 1, (n,) * (k + 1))) for k in range(2, r + 1)
     ]
     return ClassicalJet.from_arrays(arrays)
 
 
-def _rand_frame(rng, n, r, classical=False):
-    g = _rand_classical(rng, n, r) if classical else _rand_group(rng, n, r)
+def rand_frame(rng, n, r, classical=False):
+    g = rand_classical(rng, n, r) if classical else rand_group(rng, n, r)
     return FrameCoords.from_arrays(rng.uniform(-1, 1, n), g.arrays)
 
 
-def _rand_tangent(rng, n, r):
+def rand_tangent(rng, n, r):
     return BundleTangent.from_arrays(
         rng.uniform(-1, 1, n), [rng.uniform(-1, 1, (n,) * (k + 1)) for k in range(1, r + 1)]
     )
 
 
-def _rand_poly_map(rng, n, degree=2, scale=0.4):
+def _rand_poly_map(rng, n, scale=0.4):
     coeffs = {(0,) * n: tuple(rng.uniform(-scale, scale, n))}
-    lin = _rand_linear(rng, n) + 1.5 * np.eye(n)
+    lin = rand_linear(rng, n) + 1.5 * np.eye(n)
     for i in range(n):
         exp = tuple(1 if j == i else 0 for j in range(n))
         coeffs[exp] = tuple(lin[:, i])
-    if degree >= 2:
-        for i in range(n):
-            exp = tuple(2 if j == i else 0 for j in range(n))
-            coeffs[exp] = tuple(rng.uniform(-scale, scale, n))
+    for i in range(n):
+        exp = tuple(2 if j == i else 0 for j in range(n))
+        coeffs[exp] = tuple(rng.uniform(-scale, scale, n))
     return SmoothMapSpec.polynomial(n, n, coeffs)
 
 
-def _rand_christoffel(rng, n, degree=1):
+def rand_christoffel(rng, n):
     coeffs = {(0,) * n: rng.uniform(-1, 1, (n, n, n))}
-    if degree >= 1:
-        for i in range(n):
-            exp = tuple(1 if j == i else 0 for j in range(n))
-            coeffs[exp] = rng.uniform(-1, 1, (n, n, n))
+    for i in range(n):
+        exp = tuple(1 if j == i else 0 for j in range(n))
+        coeffs[exp] = rng.uniform(-1, 1, (n, n, n))
     return ChristoffelField(n, PolyField(n, (n, n, n), coeffs))
 
 
@@ -163,7 +161,7 @@ def suite_group_laws(rng, cfg):
     worst = 0.0
     for _ in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
-        a, b, c = (_rand_group(rng, n, r) for _ in range(3))
+        a, b, c = (rand_group(rng, n, r) for _ in range(3))
         worst = max(worst, _gap(
             jet_compose(jet_compose(a, b), c).arrays[-1],
             jet_compose(a, jet_compose(b, c)).arrays[-1],
@@ -176,7 +174,7 @@ def suite_group_laws(rng, cfg):
         if r <= 3:
             cf = closed_form_compose(a.arrays, b.arrays, r)
             worst = max(worst, max(_gap(x, y) for x, y in zip(jet_compose(a, b).arrays, cf)))
-        sa, sb = _rand_classical(rng, n, r), _rand_classical(rng, n, r)
+        sa, sb = rand_classical(rng, n, r), rand_classical(rng, n, r)
         oracle = taylor_map_compose(sa.arrays, sb.arrays, r)
         got = jet_compose(epsilon_embed(sa), epsilon_embed(sb)).arrays
         worst = max(worst, max(_gap(x, y) for x, y in zip(got, oracle)))
@@ -187,15 +185,15 @@ def suite_symmetrization(rng, cfg):
     worst = 0.0
     for _ in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
-        s = _rand_classical(rng, n, r)
+        s = rand_classical(rng, n, r)
         back = kappa_project(epsilon_embed(s))
         worst = max(worst, max(_gap(x, y) for x, y in zip(back.arrays, s.arrays)))
         ok, _w = is_classical(epsilon_embed(s))
         worst = max(worst, 0.0 if ok else 1.0)
-        s2 = _rand_classical(rng, n, r)
-        lhs = epsilon_embed(classical_compose(s, s2))
-        rhs = jet_compose(epsilon_embed(s), epsilon_embed(s2))
-        worst = max(worst, max(_gap(x, y) for x, y in zip(lhs.arrays, rhs.arrays)))
+        s2 = rand_classical(rng, n, r)
+        got = classical_compose(s, s2).arrays
+        oracle = taylor_map_compose(s.arrays, s2.arrays, r)
+        worst = max(worst, max(_gap(x, y) for x, y in zip(got, oracle)))
     return worst
 
 
@@ -203,9 +201,9 @@ def suite_canonical_form(rng, cfg):
     worst = 0.0
     for _ in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
-        u = _rand_frame(rng, n, r)
-        X = _rand_tangent(rng, n, r)
-        a = _rand_group(rng, n, r)
+        u = rand_frame(rng, n, r)
+        X = rand_tangent(rng, n, r)
+        a = rand_group(rng, n, r)
         # equivariance: θ after acting by a = derivative of g ↦ a⁻¹ga on θ
         lhs = canonical_form(right_action(u, a), right_action_pushforward(u, a, X))
         rhs = adjoint_action(a, canonical_form(u, X))
@@ -234,7 +232,7 @@ def suite_torsion_characterization(rng, cfg):
     for trial in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
         classical = trial % 2 == 0
-        u = _rand_frame(rng, n, r, classical=classical)
+        u = rand_frame(rng, n, r, classical=classical)
         res = realizability_check(u, tol=cfg.atol)  # raises on disagreement
         if classical:
             worst = max(worst, res["max_torsion"])
@@ -253,7 +251,7 @@ def suite_structural_equations(rng, cfg):
     worst = 0.0
     for _ in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
-        u = _rand_frame(rng, n, r, classical=True)
+        u = rand_frame(rng, n, r, classical=True)
         calc = FrameCalculus(u)
         mt, _w = calc.max_torsion()
         worst = max(worst, mt)
@@ -264,16 +262,16 @@ def suite_garcia(rng, cfg):
     worst = 0.0
     for _ in range(cfg.trials):
         n = int(rng.integers(1, cfg.max_n + 1))
-        u = _rand_frame(rng, n, 2)
+        u = rand_frame(rng, n, 2)
         g = phi_map(u)
         back = psi_map(g)
         worst = max(worst, max(_gap(x, y) for x, y in zip(u.arrays, back.arrays)))
-        a = _rand_group(rng, n, 2)
+        a = rand_group(rng, n, 2)
         moved = garcia_action(g, a, cross_check=True, tol=cfg.atol)
         frame_side = phi_map(right_action(u, a))
         worst = max(worst, _gap(moved.y, frame_side.y))
         worst = max(worst, _gap(moved.z.entries, frame_side.z.entries))
-        X = _rand_tangent(rng, n, 2)
+        X = rand_tangent(rng, n, 2)
         dx, dy, _dz = phi_pushforward(u, X)
         worst = max(worst, _gap(
             garcia_canonical_form(g, dx, dy), canonical_form(u, X).arrays[1]
@@ -285,9 +283,9 @@ def suite_connection(rng, cfg):
     worst = 0.0
     for _ in range(cfg.trials):
         n = int(rng.integers(1, cfg.max_n + 1))
-        gf = _rand_christoffel(rng, n)
-        u = _rand_frame(rng, n, 1)
-        amat = _rand_linear(rng, n)
+        gf = rand_christoffel(rng, n)
+        u = rand_frame(rng, n, 1)
+        amat = rand_linear(rng, n)
         a1 = JetGroupElement.from_arrays([amat])
         a2 = JetGroupElement.from_arrays([amat, np.zeros((n, n, n))])
         worst = max(worst, _gap(
@@ -298,7 +296,7 @@ def suite_connection(rng, cfg):
         worst = max(worst, _gap(
             section_pullback_connection(gf, u, fundamental_vector(u, [Xm])), Xm
         ))
-        X = _rand_tangent(rng, n, 1)
+        X = rand_tangent(rng, n, 1)
         worst = max(worst, _gap(
             section_pullback_connection(
                 gf, right_action(u, a1), right_action_pushforward(u, a1, X)
@@ -323,8 +321,8 @@ def suite_deform(rng, cfg):
     worst = 0.0
     for _ in range(cfg.trials):
         n = int(rng.integers(1, cfg.max_n + 1))
-        P = TangentGroupElement(_rand_linear(rng, n), rng.uniform(-1, 1, (n, n)))
-        Q = TangentGroupElement(_rand_linear(rng, n), rng.uniform(-1, 1, (n, n)))
+        P = TangentGroupElement(rand_linear(rng, n), rng.uniform(-1, 1, (n, n)))
+        Q = TangentGroupElement(rand_linear(rng, n), rng.uniform(-1, 1, (n, n)))
         worst = max(worst, _gap(
             tg_compose(P, Q).matrix_rep(), P.matrix_rep() @ Q.matrix_rep()
         ))
@@ -338,7 +336,7 @@ def suite_deform(rng, cfg):
             tg_adjoint(P, V).matrix_rep(),
             P.matrix_rep() @ V.matrix_rep() @ np.linalg.inv(P.matrix_rep()),
         ))
-        gf = _rand_christoffel(rng, n)
+        gf = rand_christoffel(rng, n)
         spec = _rand_poly_map(rng, n)
         p = rng.uniform(-0.3, 0.3, n)
         T = transition_jet(spec, p, 2)
@@ -356,10 +354,10 @@ def suite_deform(rng, cfg):
             np.zeros(n),
         ))
         s = GarciaPairPoint(
-            n, rng.uniform(-1, 1, n), _rand_linear(rng, n), rng.uniform(-1, 1, (n, n)),
+            n, rng.uniform(-1, 1, n), rand_linear(rng, n), rng.uniform(-1, 1, (n, n)),
             rng.uniform(-1, 1, (n, n, n)), rng.uniform(-1, 1, (n, n, n)),
         )
-        g, X = _rand_linear(rng, n), rng.uniform(-1, 1, (n, n))
+        g, X = rand_linear(rng, n), rng.uniform(-1, 1, (n, n))
         lf, lp = deform_frame_iso(garcia_pair_action(s, g, X))
         rf, rp = frame_pair_action(*deform_frame_iso(s), g, X)
         worst = max(worst, _gap(lf.arrays[1], rf.arrays[1]))
@@ -486,7 +484,7 @@ def suite_foliation(rng, cfg):
         g1 = _rand_poly_map(rng, qd, scale=0.3)
         g2 = _rand_poly_map(rng, qd, scale=0.3)
         r = int(rng.integers(1, cfg.max_r))
-        u = _rand_frame(rng, qd, r)
+        u = rand_frame(rng, qd, r)
         two = transverse_pushforward(transverse_pushforward(u, g1), g2)
         one = transverse_pushforward(u, SmoothMapSpec.composite(g1, g2))
         worst = max(worst, max(_gap(x, y) for x, y in zip(two.arrays, one.arrays)))

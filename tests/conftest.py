@@ -1,8 +1,17 @@
-"""Shared random generators and the acceptance-criteria summary hook."""
+"""Shared random generators, test helpers and the acceptance-criteria summary hook."""
 import numpy as np
 
-from formalframes import ClassicalJet, FrameCoords, JetGroupElement
-from formalframes.bundle import BundleTangent
+from formalframes import FrameCoords
+
+# the verify suites' random data, re-exported to the test modules
+from formalframes.verify import (  # noqa: F401
+    rand_christoffel,
+    rand_classical,
+    rand_frame,
+    rand_group,
+    rand_linear,
+    rand_tangent,
+)
 
 # registry filled by tests/test_acceptance.py: num -> (description, passed)
 CRITERIA = {}
@@ -22,42 +31,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"criterion {num:2d} [{status}] {desc}")
 
 
-# ---------------------------------------------------------------------------
-# random data (well-conditioned by construction, so linear solves stay tight)
-
-
-def rand_linear(rng, n):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * rng.uniform(0.5, 2.0)
-
-
-def rand_group(rng, n, r):
-    arrays = [rand_linear(rng, n)] + [
-        rng.uniform(-1, 1, (n,) * (k + 1)) for k in range(2, r + 1)
-    ]
-    return JetGroupElement.from_arrays(arrays)
-
-
-def rand_classical(rng, n, r):
-    from formalframes import symmetrize_array
-
-    arrays = [rand_linear(rng, n)] + [
-        symmetrize_array(rng.uniform(-1, 1, (n,) * (k + 1))) for k in range(2, r + 1)
-    ]
-    return ClassicalJet.from_arrays(arrays)
-
-
-def rand_frame(rng, n, r, classical=False):
-    g = rand_classical(rng, n, r) if classical else rand_group(rng, n, r)
-    return FrameCoords.from_arrays(rng.uniform(-1, 1, n), g.arrays)
-
-
-def rand_tangent(rng, n, r):
-    return BundleTangent.from_arrays(
-        rng.uniform(-1, 1, n),
-        [rng.uniform(-1, 1, (n,) * (k + 1)) for k in range(1, r + 1)],
-    )
-
-
 def gap(x, y):
     return float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
+
+
+def frame1d(base, *vals):
+    """One-dimensional frame with constant tensors u¹, u², … = vals."""
+    return FrameCoords.from_arrays(
+        [base], [np.full((1,) * (k + 2), v) for k, v in enumerate(vals)]
+    )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import (
     gap,
+    rand_christoffel,
     rand_classical,
     rand_frame,
     rand_group,
@@ -20,7 +21,6 @@ from conftest import (
     record_criterion,
 )
 from test_charts import rand_poly
-from test_connection import rand_christoffel
 
 import formalframes as ff
 from formalframes.forms import torsion_wedge_terms

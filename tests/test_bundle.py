@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import gap, rand_frame, rand_group, rand_tangent
+from conftest import frame1d, gap, rand_frame, rand_group, rand_tangent
 
 from formalframes import (
     BundleTangent,
@@ -15,12 +15,6 @@ from formalframes import (
     tangent_iso,
     transition_jet,
 )
-
-
-def frame1d(base, *vals):
-    return FrameCoords.from_arrays(
-        [base], [np.full((1,) * (k + 2), v) for k, v in enumerate(vals)]
-    )
 
 
 def test_right_action_pin():

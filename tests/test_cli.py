@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from formalframes import FrameCoords, realizability_check
+from formalframes.cli import main
+from formalframes.verify import rand_frame
 
 CLI = [sys.executable, "-m", "formalframes.cli"]
 
@@ -101,6 +103,19 @@ def test_torsion_sampling_mode_deterministic():
     assert a.stdout == b.stdout
     verdicts = json.loads(a.stdout)["verdicts"]
     assert [v["realizable"] for v in verdicts] == [True, False] * 3
+
+
+def test_torsion_sampling_mode_reports_library_verdicts(tmp_path):
+    path = tmp_path / "verdicts.json"
+    assert main(["torsion", "--seed", "11", "--trials", "4", "--n", "3", "--r", "3",
+                 "--output", str(path)]) == 0
+    rng = np.random.default_rng([11, 0])
+    expected = []
+    for i in range(4):
+        res = realizability_check(rand_frame(rng, 3, 3, classical=i % 2 == 0), tol=1e-8)
+        expected.append({"trial": i, **{key: res[key] for key in (
+            "realizable", "max_torsion", "max_asymmetry")}})
+    assert json.loads(path.read_text())["verdicts"] == expected
 
 
 def test_verify_deterministic_and_exit_codes():

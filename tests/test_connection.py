@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from conftest import gap, rand_frame, rand_tangent
+from conftest import gap, rand_christoffel, rand_frame, rand_tangent
 
 from formalframes import (
     ChristoffelField,
     FrameCoords,
     JetGroupElement,
-    PolyField,
     SmoothMapSpec,
     change_chart,
     christoffel_transform,
@@ -19,14 +18,6 @@ from formalframes import (
     transition_jet,
 )
 from test_charts import rand_poly
-
-
-def rand_christoffel(rng, n):
-    coeffs = {(0,) * n: rng.uniform(-1, 1, (n, n, n))}
-    for i in range(n):
-        exp = tuple(1 if j == i else 0 for j in range(n))
-        coeffs[exp] = rng.uniform(-1, 1, (n, n, n))
-    return ChristoffelField(n, PolyField(n, (n, n, n), coeffs))
 
 
 def test_transform_pins():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import gap, rand_frame, rand_group, rand_tangent
+from conftest import frame1d, gap, rand_frame, rand_group, rand_tangent
 
 from formalframes import (
     BundleTangent,
@@ -24,12 +24,6 @@ from formalframes import (
 )
 from formalframes.bundle import translation_matrix
 from formalframes.forms import form_partials, torsion_wedge_terms, translation_matrix_derivative
-
-
-def frame1d(base, *vals):
-    return FrameCoords.from_arrays(
-        [base], [np.full((1,) * (k + 2), v) for k, v in enumerate(vals)]
-    )
 
 
 def test_canonical_form_identity_frame():
@@ -62,20 +56,12 @@ def test_form_partials_match_finite_differences():
             dn[A] -= h
 
             def theta_table_at(vec):
-                pu = FrameCoords.from_arrays(vec[:n], _unflatten(vec, n, r))
+                t = BundleTangent.from_flat(n, r, vec)  # the layout of coords_flat
+                pu = FrameCoords.from_arrays(t.d_base, t.arrays)
                 return FrameCalculus(pu).theta_table
 
             fd = (theta_table_at(up) - theta_table_at(dn)) / (2 * h)
             assert gap(G[:, A, :], fd) < 1e-6
-
-
-def _unflatten(vec, n, r):
-    arrays, pos = [], n
-    for k in range(1, r + 1):
-        size = n ** (k + 1)
-        arrays.append(vec[pos:pos + size].reshape((n,) * (k + 1)))
-        pos += size
-    return arrays
 
 
 def test_torsion_type_enumeration():
@@ -192,6 +178,8 @@ def test_realizability_detects_single_order_perturbation():
         res = realizability_check(bad)
         assert not res["realizable"]
         assert res["max_torsion"] > 1e-3
+        assert res["witness"]["asymmetry"] == {
+            "order": order, "axes": (order - 1, order), "index": idx, "gap": pytest.approx(0.5)}
 
 
 def test_curvature_vanishes_on_repeated_argument():

@@ -3,6 +3,7 @@ import pytest
 from conftest import gap, rand_classical, rand_group
 
 from formalframes import (
+    AsymmetryError,
     ClassicalJet,
     JetAlgebraElement,
     JetGroupElement,
@@ -105,6 +106,17 @@ def test_epsilon_pin_and_rejection():
         ClassicalJet.from_arrays([np.eye(2), arr])
 
 
+def test_classical_jet_rejects_asymmetric_tensor_naming_worst_order():
+    arr2 = np.zeros((2, 2, 2))
+    arr2[0, 0, 1] = 0.5
+    with pytest.raises(AsymmetryError, match=r"order-2 tensor asymmetric \(gap 0\.5 >"):
+        ClassicalJet.from_arrays([np.eye(2), arr2])
+    arr3 = np.zeros((2, 2, 2, 2))
+    arr3[1, 0, 0, 1] = 3.0
+    with pytest.raises(AsymmetryError, match=r"order-3 tensor asymmetric \(gap 3 >"):
+        ClassicalJet.from_arrays([np.eye(2), arr2, arr3])
+
+
 def test_kappa_pin():
     arr = np.zeros((2, 2, 2))
     arr[0, 0, 1] = 4.0
@@ -162,7 +174,9 @@ def test_is_classical_witness():
     arr[0, 1, 0] = 3.0
     ok, witness = is_classical(JetGroupElement.from_arrays([np.eye(2), arr]))
     assert not ok
-    assert witness["gap"] == pytest.approx(2.0)
+    assert witness == {"order": 2, "axes": (1, 2), "index": (0, 0, 1), "gap": 2.0}
+    assert is_classical(jet_identity(2, 3)) == (
+        True, {"order": None, "axes": None, "index": None, "gap": 0.0})
 
 
 def test_adjoint_pin_and_linearity():

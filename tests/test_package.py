@@ -1,7 +1,35 @@
+import ast
 import re
 from pathlib import Path
 
 import formalframes
+
+PUBLIC_API = [
+    "AsymmetryError", "BottData", "BundleTangent", "ChristoffelField", "ClassicalJet",
+    "DeformationPair", "FoliationTransition", "FrameCalculus", "FrameCoords",
+    "GarciaCoords", "GarciaPairPoint", "JetAlgebraElement", "JetGroupElement",
+    "LowerTensor", "PolyField", "RealizabilityDisagreement", "ShapeMismatchError",
+    "SingularityError", "SmoothMapSpec", "TangentAlgebraElement", "TangentGroupElement",
+    "TangentIso", "TorsionType", "TransitionJet", "VerifyConfig", "adjoint_action",
+    "algebra_size", "bott_gauge_transform", "bott_residual", "bundle", "canonical_form",
+    "change_chart", "change_chart_pushforward", "charts", "check_deformation_pair",
+    "christoffel_transform", "classical_compose", "classical_tangent_projection",
+    "connection", "connection_section", "coord_size", "covariant_derivative_residual",
+    "curvature", "deform", "deform_canonical_form", "deform_frame_iso",
+    "deformation_equation_residual", "deformation_transform", "enumerate_torsion_types",
+    "epsilon_embed", "fields", "foliation", "forms", "frame_pair_action",
+    "fundamental_vector", "garcia", "garcia_action", "garcia_canonical_form",
+    "garcia_pair_action", "horizontal_lift", "is_classical", "is_classical_frame",
+    "jet_compose", "jet_identity", "jet_inverse", "jet_of_transition_as_group",
+    "jetgroup", "kappa_project", "lift_block_identity", "max_asymmetry", "oracles",
+    "phi_map", "phi_pushforward", "psi_map", "realizability_check", "right_action",
+    "right_action_pushforward", "run_suites", "schwarzian", "schwarzian_frame",
+    "section_pullback_connection", "section_pushforward", "structural_residual",
+    "symmetrize_array", "symmetrize_connection", "t2m_transition", "tangent_iso",
+    "taylor", "tensors", "tg_adjoint", "tg_bracket", "tg_compose", "tg_inverse",
+    "torsion", "transition_is_foliated", "transition_jet", "transverse_pushforward",
+    "verify", "vertical_lift",
+]
 
 
 def test_version_matches_pyproject():
@@ -9,3 +37,37 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match is not None
     assert formalframes.__version__ == match.group(1)
+
+
+def test_public_api_is_pinned():
+    assert sorted(formalframes.__all__) == PUBLIC_API
+
+
+def unused_imports(source: str):
+    """Names a module imports but never references, with their line numbers."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_scan_finds_unused_names():
+    source = "import math\nimport numpy as np\nfrom .a import b, c\nnp.sum(c)\n"
+    assert unused_imports(source) == [(1, "math"), (3, "b")]
+
+
+def test_modules_import_only_what_they_use():
+    found = {
+        path.name: unused_imports(path.read_text())
+        for path in sorted(Path(formalframes.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert len(found) == 14
+    assert {name: hits for name, hits in found.items() if hits} == {}

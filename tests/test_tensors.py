@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from formalframes import (
+    FrameCoords,
+    JetGroupElement,
     LowerTensor,
     ShapeMismatchError,
+    is_classical,
+    is_classical_frame,
     max_asymmetry,
     symmetrize_array,
 )
@@ -51,6 +55,23 @@ def test_max_asymmetry_witnesses_the_gap():
     arr[0, 0, 1] = 5.0
     arr[0, 1, 0] = 3.0
     assert max_asymmetry(LowerTensor(2, 2, arr)) == pytest.approx(2.0)
+
+
+def test_symmetry_checks_share_one_witness():
+    rng = np.random.default_rng(11)
+    for n, r in [(1, 3), (2, 2), (2, 4), (3, 3)]:
+        for _ in range(5):
+            arrays = [np.eye(n) + 0.1 * rng.uniform(-1, 1, (n, n))] + [
+                rng.uniform(-1, 1, (n,) * (k + 1)) for k in range(2, r + 1)
+            ]
+            ok, worst = is_classical(JetGroupElement.from_arrays(arrays))
+            assert is_classical_frame(FrameCoords.from_arrays(np.zeros(n), arrays)) == (ok, worst)
+            assert worst["gap"] == max(max_asymmetry(arr) for arr in arrays)
+            assert ok == (n == 1)
+            if not ok:
+                arr = arrays[worst["order"] - 1]
+                swapped = np.swapaxes(arr, *worst["axes"])
+                assert abs(arr - swapped)[worst["index"]] == worst["gap"]
 
 
 def test_symmetrize_tensor_wrapper():
