@@ -87,17 +87,17 @@ def compose_right_derivative(a_arrays, b_arrays, db_arrays, r: int | None = None
     """Directional derivative of compose_tensors in its right argument."""
     if r is None:
         r = len(a_arrays)
-    n = a_arrays[0].shape[0]
     out = []
     for k in range(1, r + 1):
-        acc = np.zeros((n,) * (k + 1))
+        acc = None
         for term in product_terms(k):
             for t in range(len(term)):
                 factors = [
                     (db_arrays if s == t else b_arrays)[len(block) - 1]
                     for s, block in enumerate(term)
                 ]
-                acc = acc + eval_term(a_arrays[len(term) - 1], factors, term)
+                val = eval_term(a_arrays[len(term) - 1], factors, term)
+                acc = val if acc is None else acc + val
         out.append(acc)
     return out
 
@@ -110,8 +110,8 @@ def group_translation_apply(u_arrays, y_arrays, k: int) -> np.ndarray:
     for orders >= 2.
     """
     n = u_arrays[0].shape[0]
-    eye = np.eye(n)
-    acc = np.zeros((n,) * (k + 1))
+    eye = np.eye(n, dtype=np.result_type(u_arrays[0], y_arrays[0]))
+    acc = None
     for term in product_terms(k):
         big = [t for t, block in enumerate(term) if len(block) > 1]
         if len(big) > 1:
@@ -122,7 +122,8 @@ def group_translation_apply(u_arrays, y_arrays, k: int) -> np.ndarray:
                 y_arrays[len(block) - 1] if t == p else eye
                 for t, block in enumerate(term)
             ]
-            acc = acc + eval_term(u_arrays[len(term) - 1], factors, term)
+            val = eval_term(u_arrays[len(term) - 1], factors, term)
+            acc = val if acc is None else acc + val
     return acc
 
 

@@ -60,27 +60,19 @@ def taylor_map_compose(a_arrays, b_arrays, r: int):
     n = np.asarray(a_arrays[0]).shape[0]
 
     def as_polynomials(arrays):
-        comps = []
-        for i in range(n):
-            coeffs = {}
-            for k, arr in enumerate(arrays, start=1):
-                arr = np.asarray(arr, dtype=float)
-                for exp in multi_indices(n, k):
-                    if sum(exp) != k:
-                        continue
-                    # a[k] x^⊗k / k! collapses onto the monomial basis with
-                    # a multinomial count for repeated indices
-                    js = []
-                    for var, e in enumerate(exp):
-                        js.extend([var] * e)
-                    count = math.factorial(k)
-                    for e in exp:
-                        count //= math.factorial(e)
-                    coeffs[exp] = coeffs.get(exp, 0.0) + (
-                        arr[(i,) + tuple(js)] * count / math.factorial(k)
-                    )
-            comps.append(TaylorScalar(n, r, coeffs))
-        return comps
+        # a[k] x^⊗k / k! collapses onto the monomial x^e, |e| = k, with a
+        # multinomial count k!/e! for repeated indices: coefficient a[k][js]/e!
+        exps = [e for e in multi_indices(n, len(arrays)) if any(e)]
+        coeffs = np.empty((n, len(exps)))
+        for k, arr in enumerate(arrays, start=1):
+            cols = [c for c, e in enumerate(exps) if sum(e) == k]
+            slots = np.array(
+                [[var for var, e in enumerate(exps[c]) for _ in range(e)] for c in cols]
+            )
+            weight = [math.prod(map(math.factorial, exps[c])) for c in cols]
+            gathered = np.asarray(arr, dtype=float)[(slice(None),) + tuple(slots.T)]
+            coeffs[:, cols] = gathered / weight
+        return [TaylorScalar(n, r, dict(zip(exps, row))) for row in coeffs]
 
     f = as_polynomials(a_arrays)
     g = as_polynomials(b_arrays)

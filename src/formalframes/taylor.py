@@ -3,14 +3,22 @@
 Used as the exact-differentiation engine: transition jets, chain-rule
 oracles, and derivative extraction all run through this ring.  A
 :class:`TaylorScalar` is a polynomial in ``m`` variables truncated at total
-degree ``order``; coefficients are keyed by exponent multi-indices
-(enumerated lexicographically where an ordering matters, e.g. in tests).
+degree ``order``, held as one dense float vector over the monomials of
+degree <= ``order`` in :func:`multi_indices` order.  Two caches keyed by
+``(m, order)`` hold that basis (with its exponent -> index map) and the
+product table ``(i, j, k)`` with ``exps[i] + exps[j] = exps[k]``, so a
+product is one weighted ``np.bincount`` (Neidinger, "Directions for
+computing truncated multivariate Taylor series", Math. Comp. 74, 2005).
+The ring shares no code with the jet-product engine in ``jetgroup``, so
+the Taylor route in ``oracles`` stays an independent check of it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,23 +43,108 @@ def _exponents_of_degree(m, total):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
+def _frozen(*arrays):
+    """Cached tables are shared by every caller: make them read-only."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+class _Basis(NamedTuple):
+    exps: list          # exponent tuples, multi_indices(m, order) order
+    index: dict         # exponent tuple -> position
+    powers: np.ndarray  # (L, m) exponents
+    degree: np.ndarray  # (L,) total degrees
+    down: np.ndarray    # (L, m) position of exps[k] - e_i, or -1
+    graded: np.ndarray  # positions by ascending degree, x_0-heaviest first within one
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(m: int, order: int) -> _Basis:
+    exps = multi_indices(m, order)
+    index = {e: k for k, e in enumerate(exps)}
+    powers = np.array(exps, dtype=np.intp).reshape(len(exps), m)
+    down = np.full((len(exps), m), -1, dtype=np.intp)
+    for k, e in enumerate(exps):
+        for i in range(m):
+            if e[i]:
+                down[k, i] = index[e[:i] + (e[i] - 1,) + e[i + 1:]]
+    degree = powers.sum(axis=1)
+    graded = np.lexsort((-np.arange(len(exps)), degree))
+    return _Basis(exps, index, *_frozen(powers, degree, down, graded))
+
+
+@functools.lru_cache(maxsize=None)
+def _product_table(m: int, order: int):
+    """Positions (I, J, K) with exps[I] + exps[J] = exps[K], degree <= order."""
+    basis = _basis(m, order)
+    I, J = np.nonzero(basis.degree[:, None] + basis.degree[None, :] <= order)
+    K = [basis.index[tuple(e)] for e in (basis.powers[I] + basis.powers[J]).tolist()]
+    return _frozen(I, J, np.array(K, dtype=np.intp))
+
+
+def _mul(a, b, table):
+    I, J, K = table
+    return np.bincount(K, weights=a[I] * b[J], minlength=len(a))
+
+
+def _unit(size):
+    out = np.zeros(size)
+    out[0] = 1.0
+    return out
+
+
 class TaylorScalar:
     """Polynomial in m variables truncated at total degree `order`."""
 
-    m: int
-    order: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("m", "order", "_v")
 
-    def __post_init__(self):
-        clean = {}
-        for exp, c in self.coeffs.items():
+    def __init__(self, m: int, order: int, coeffs: dict | None = None):
+        basis = _basis(m, order)
+        v = np.zeros(len(basis.exps))
+        for exp, c in (coeffs or {}).items():
             exp = tuple(int(e) for e in exp)
-            if len(exp) != self.m or any(e < 0 for e in exp):
-                raise ShapeMismatchError(f"bad exponent {exp} for m={self.m}")
-            if sum(exp) <= self.order and c != 0.0:
-                clean[exp] = float(c)
-        object.__setattr__(self, "coeffs", clean)
+            if len(exp) != m or any(e < 0 for e in exp):
+                raise ShapeMismatchError(f"bad exponent {exp} for m={m}")
+            k = basis.index.get(exp)
+            if k is not None:
+                v[k] = float(c)
+        self._init(m, order, v)
+
+    def _init(self, m, order, v):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_v", v)
+
+    def _new(self, v, m=None, order=None) -> "TaylorScalar":
+        out = object.__new__(TaylorScalar)
+        out._init(self.m if m is None else m, self.order if order is None else order, v)
+        return out
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (TaylorScalar, (self.m, self.order, self.coeffs))
+
+    def __repr__(self):
+        return f"TaylorScalar(m={self.m!r}, order={self.order!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, TaylorScalar):
+            return NotImplemented
+        return (self.m, self.order) == (other.m, other.order) and np.array_equal(
+            self._v, other._v
+        )
+
+    @property
+    def coeffs(self) -> dict:
+        """Nonzero coefficients keyed by exponent tuple."""
+        exps = _basis(self.m, self.order).exps
+        return {exps[k]: float(self._v[k]) for k in np.flatnonzero(self._v)}
 
     # -- constructors ------------------------------------------------------
 
@@ -77,15 +170,12 @@ class TaylorScalar:
         if isinstance(other, (int, float)):
             other = TaylorScalar.constant(other, self.m, self.order)
         self._check_compat(other)
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, 0.0) + c
-        return TaylorScalar(self.m, self.order, out)
+        return self._new(self._v + other._v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TaylorScalar(self.m, self.order, {e: -c for e, c in self.coeffs.items()})
+        return self._new(-self._v)
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -97,48 +187,41 @@ class TaylorScalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return TaylorScalar(
-                self.m, self.order, {e: c * other for e, c in self.coeffs.items()}
-            )
+            return self._new(self._v * other)
         self._check_compat(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if sum(exp) <= self.order:
-                    out[exp] = out.get(exp, 0.0) + c1 * c2
-        return TaylorScalar(self.m, self.order, out)
+        return self._new(_mul(self._v, other._v, _product_table(self.m, self.order)))
 
     __rmul__ = __mul__
 
     def pow_int(self, p: int) -> "TaylorScalar":
-        result = TaylorScalar.constant(1.0, self.m, self.order)
+        table = _product_table(self.m, self.order)
+        result = _unit(len(self._v))
         for _ in range(p):
-            result = result * self
-        return result
+            result = _mul(result, self._v, table)
+        return self._new(result)
 
     def reciprocal(self) -> "TaylorScalar":
         """1/self; requires a nonzero constant term."""
-        c0 = self.coeffs.get((0,) * self.m, 0.0)
+        c0 = self.coefficient((0,) * self.m)
         if c0 == 0.0:
             raise ZeroDivisionError("reciprocal needs a nonzero constant term")
-        q = 1.0 - self * (1.0 / c0)  # zero constant term
-        acc = TaylorScalar.constant(1.0, self.m, self.order)
-        power = TaylorScalar.constant(1.0, self.m, self.order)
+        table = _product_table(self.m, self.order)
+        q = -(self._v * (1.0 / c0))
+        q[0] += 1.0  # zero constant term
+        acc = _unit(len(q))
+        power = _unit(len(q))
         for _ in range(self.order):
-            power = power * q
+            power = _mul(power, q, table)
             acc = acc + power
-        return acc * (1.0 / c0)
+        return self._new(acc * (1.0 / c0))
 
     def derivative(self, i: int) -> "TaylorScalar":
-        out = {}
-        for exp, c in self.coeffs.items():
-            if exp[i] > 0:
-                new = list(exp)
-                new[i] -= 1
-                out[tuple(new)] = c * exp[i]
+        basis = _basis(self.m, self.order)
+        src = np.flatnonzero(basis.down[:, i] >= 0)
+        out = np.zeros_like(self._v)
+        out[basis.down[src, i]] = self._v[src] * basis.powers[src, i]
         # formal derivative of a degree-d truncation is reliable to d-1
-        return TaylorScalar(self.m, self.order, out)
+        return self._new(out)
 
     def compose(self, inner: "list[TaylorScalar]") -> "TaylorScalar":
         """Substitute inner[i] for variable i (formal, then truncate)."""
@@ -148,51 +231,77 @@ class TaylorScalar:
         for g in inner:
             if g.m != m_out or g.order != self.order:
                 raise ShapeMismatchError("truncation-order mismatch in compose")
-        # cache powers of each inner series
-        max_exp = [0] * self.m
-        for exp in self.coeffs:
-            for i, e in enumerate(exp):
-                max_exp[i] = max(max_exp[i], e)
+        return self._new(self._compose([g._v for g in inner], m_out), m=m_out)
+
+    def _compose(self, inner, m_out) -> np.ndarray:
+        """Σ_k v[k]·Π_i inner[i]^e_i over exps[k] = e, one term at a time.
+
+        Terms are added in graded order, the order in which polynomial maps
+        list their terms (constant, x_0, x_1, …, x_0², …), so each sum rounds
+        as the term-by-term expansion of the map does.
+        """
+        basis = _basis(self.m, self.order)
+        table = _product_table(m_out, self.order)
+        one = _unit(len(_basis(m_out, self.order).exps))
+        terms = basis.graded[self._v[basis.graded] != 0]
         powers = []
-        for i, g in enumerate(inner):
-            ps = [TaylorScalar.constant(1.0, m_out, self.order)]
-            for _ in range(max_exp[i]):
-                ps.append(ps[-1] * g)
+        for g, top in zip(inner, basis.powers[terms].max(axis=0, initial=0)):
+            ps = [one]
+            for _ in range(top):
+                ps.append(_mul(ps[-1], g, table))
             powers.append(ps)
-        acc = TaylorScalar(m_out, self.order, {})
-        for exp, c in self.coeffs.items():
-            term = TaylorScalar.constant(c, m_out, self.order)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * powers[i][e]
+        acc = np.zeros_like(one)
+        for k in terms:
+            factors = [powers[i][e] for i, e in enumerate(basis.exps[k]) if e]
+            term = self._v[k] * (factors[0] if factors else one)
+            for p in factors[1:]:
+                term = _mul(term, p, table)
             acc = acc + term
         return acc
 
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, exp) -> float:
-        return self.coeffs.get(tuple(exp), 0.0)
+        k = _basis(self.m, self.order).index.get(tuple(exp))
+        return 0.0 if k is None else float(self._v[k])
 
     def evaluate(self, point) -> float:
         point = np.asarray(point, dtype=float)
-        total = 0.0
-        for exp, c in self.coeffs.items():
-            total += c * float(np.prod(point ** np.array(exp)))
-        return total
+        powers = _basis(self.m, self.order).powers
+        return float(self._v @ np.prod(point ** powers, axis=1))
 
     def truncate(self, order: int) -> "TaylorScalar":
         """Drop terms above `order` (which may be lower or higher)."""
-        return TaylorScalar(self.m, order, dict(self.coeffs))
+        if order <= self.order:
+            kept = _basis(self.m, self.order).degree <= order
+            return self._new(self._v[kept], order=order)
+        out = np.zeros(len(_basis(self.m, order).exps))
+        out[_basis(self.m, order).degree <= self.order] = self._v
+        return self._new(out, order=order)
 
     def shift_center(self, point) -> "TaylorScalar":
         """Re-center: return self(point + t) as a series in t (exact)."""
         point = np.asarray(point, dtype=float)
-        shifted = [
-            TaylorScalar.constant(point[i], self.m, self.order)
-            + TaylorScalar.variable(i, self.m, self.order)
-            for i in range(self.m)
-        ]
-        return self.compose(shifted)
+        basis = _basis(self.m, self.order)
+        shifted = np.zeros((self.m, len(self._v)))
+        shifted[:, 0] = point
+        units = np.flatnonzero(basis.degree == 1)
+        shifted[basis.powers[units].argmax(axis=1), units] = 1.0
+        return self._new(self._compose(shifted, self.m))
+
+
+@functools.lru_cache(maxsize=None)
+def _tensor_gather(m: int, order: int, k: int):
+    """Basis position and factorial weight of each entry D[j1..jk], k <= order."""
+    index = _basis(m, order).index
+    pos, weight = [], []
+    for js in itertools.product(range(m), repeat=k):
+        exp = tuple(js.count(i) for i in range(m))
+        pos.append(index[exp])
+        weight.append(math.prod(math.factorial(e) for e in exp))
+    shape = (m,) * k
+    return _frozen(np.array(pos, dtype=np.intp).reshape(shape),
+                   np.array(weight, float).reshape(shape))
 
 
 def derivative_tensor(components, k: int) -> np.ndarray:
@@ -201,16 +310,10 @@ def derivative_tensor(components, k: int) -> np.ndarray:
     `components` is a tuple of TaylorScalars centered at the evaluation
     point (i.e. the point corresponds to variables = 0).
     """
-    n_out = len(components)
     m = components[0].m
-    D = np.zeros((n_out,) + (m,) * k)
+    D = np.zeros((len(components),) + (m,) * k)
     for i, f in enumerate(components):
-        for js in itertools.product(range(m), repeat=k):
-            exp = [0] * m
-            for j in js:
-                exp[j] += 1
-            factorial = 1.0
-            for e in exp:
-                factorial *= math.factorial(e)
-            D[(i,) + js] = f.coefficient(exp) * factorial
+        if k <= f.order:
+            pos, weight = _tensor_gather(m, f.order, k)
+            D[i] = f._v[pos] * weight
     return D

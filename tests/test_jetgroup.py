@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import gap, rand_classical, rand_group
@@ -17,6 +19,11 @@ from formalframes import (
     jet_identity,
     jet_inverse,
     kappa_project,
+)
+from formalframes.jetgroup import (
+    compose_right_derivative,
+    compose_tensors,
+    group_translation_apply,
 )
 from formalframes.oracles import closed_form_compose, taylor_map_compose
 
@@ -223,3 +230,59 @@ def test_json_roundtrip():
     g = scalar_elt(2, 3)
     back = JetGroupElement.from_json(g.to_json())
     assert all(gap(x, y) == 0.0 for x, y in zip(back.arrays, g.arrays))
+
+
+def fraction_array(rng, shape):
+    num = rng.integers(-5, 6, size=shape)
+    den = rng.integers(1, 4, size=shape)
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = Fraction(int(num[idx]), int(den[idx]))
+    return out
+
+
+def fraction_jet(rng, n, r):
+    return [fraction_array(rng, (n,) * (k + 1)) for k in range(1, r + 1)]
+
+
+def stencil_derivative(f):
+    """d/dt f(t) at 0 by the five-point stencil with step 1: exact for degree <= 4."""
+    return [
+        (m2 - 8 * m1 + 8 * p1 - p2) / 12
+        for m2, m1, p1, p2 in zip(f(-2), f(-1), f(1), f(2))
+    ]
+
+
+def all_fractions(arrays):
+    return all(isinstance(x, Fraction) for arr in arrays for x in arr.flat)
+
+
+# (3, 4) is left out: object einsum makes it take seconds, and exactness
+# depends on the dtype of each sum, not on the size
+FRACTION_SHAPES = [(n, r) for n in (1, 2, 3) for r in (1, 2, 3, 4) if (n, r) != (3, 4)]
+
+
+@pytest.mark.parametrize("n, r", FRACTION_SHAPES)
+def test_right_derivative_is_exact_on_fractions(n, r):
+    rng = np.random.default_rng([n, r])
+    a, b, db = (fraction_jet(rng, n, r) for _ in range(3))
+    got = compose_right_derivative(a, b, db)
+    want = stencil_derivative(
+        lambda t: compose_tensors(a, [x + t * y for x, y in zip(b, db)])
+    )
+    assert all_fractions(got)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("n, r", FRACTION_SHAPES)
+def test_group_translation_is_exact_on_fractions(n, r):
+    rng = np.random.default_rng([n, r, 1])
+    u, y = fraction_jet(rng, n, r), fraction_jet(rng, n, r)
+    identity = [np.eye(n, dtype=int) + 0 * y[0]] + [0 * x for x in y[1:]]  # Fractions
+    want = stencil_derivative(
+        lambda t: compose_tensors(u, [e + t * x for e, x in zip(identity, y)])
+    )
+    for k in range(1, r + 1):
+        got = group_translation_apply(u, y, k)
+        assert all_fractions([got])
+        assert np.array_equal(got, want[k - 1])

@@ -71,3 +71,45 @@ def test_modules_import_only_what_they_use():
     }
     assert len(found) == 14
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def package_imports(source: str):
+    """Sibling modules of the package a module imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("formalframes.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("formalframes"):
+                continue
+            module = module.removeprefix("formalframes").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_package_import_scan_finds_all_forms():
+    source = (
+        "import numpy\nimport formalframes.taylor\nfrom . import oracles\n"
+        "from .tensors import close\nfrom formalframes.forms import schwarzian\n"
+        "def f():\n    from .bundle import right_action\n"
+    )
+    assert package_imports(source) == {"taylor", "oracles", "tensors", "forms", "bundle"}
+
+
+def test_taylor_route_shares_no_code_with_the_engine():
+    """The Taylor oracle checks the engine, so neither side may import the other."""
+    root = Path(formalframes.__file__).parent
+    imports = {
+        name: package_imports((root / f"{name}.py").read_text())
+        for name in ("jetgroup", "bundle", "forms", "taylor")
+    }
+    for engine in ("jetgroup", "bundle", "forms"):
+        assert imports[engine].isdisjoint({"taylor", "oracles"}), engine
+    assert imports["taylor"].isdisjoint({"jetgroup", "bundle", "forms"})
