@@ -25,6 +25,7 @@ from .connection import (
     ChristoffelField,
     christoffel_transform,
     connection_section,
+    deformation_transform,
     section_pullback_connection,
     section_pushforward,
     symmetrize_connection,
@@ -38,7 +39,6 @@ from .deform import (
     covariant_derivative_residual,
     deform_canonical_form,
     deform_frame_iso,
-    deformation_transform,
     frame_pair_action,
     garcia_pair_action,
     horizontal_lift,

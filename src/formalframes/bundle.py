@@ -9,6 +9,7 @@ coordinates, which `forms` exploits for exact exterior derivatives.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -22,7 +23,9 @@ from .jetgroup import (
     _validate_tensor_list,
     compose_right_derivative,
     compose_tensors,
+    flat_offsets,
     group_translation_apply,
+    unflatten,
 )
 from .tensors import (
     LowerTensor,
@@ -31,19 +34,14 @@ from .tensors import (
     check_square,
 )
 
-# the canonical form takes values in the identity tangent space one order
-# down; AlgebraVector is that value type (base displacement included)
-AlgebraVector = JetAlgebraElement
-
-
 def algebra_size(n: int, r: int) -> int:
     """Dimension of the identity tangent space of the order-(r-1) bundle."""
-    return sum(n ** (k + 1) for k in range(r))
+    return int(flat_offsets(n, r)[-1])
 
 
 def coord_size(n: int, r: int) -> int:
     """Number of natural coordinates of an order-r frame (base included)."""
-    return n + sum(n ** (k + 1) for k in range(1, r + 1))
+    return algebra_size(n, r + 1)
 
 
 @dataclass(frozen=True)
@@ -78,6 +76,14 @@ class FrameCoords:
     def identity_frame(cls, n: int, r: int, chart_id: str = "chart0") -> "FrameCoords":
         arrays = [np.eye(n)] + [np.zeros((n,) * (k + 1)) for k in range(2, r + 1)]
         return cls.from_arrays(np.zeros(n), arrays, chart_id)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FrameCoords) and self.to_json() == other.to_json()
+
+    @functools.cached_property
+    def iso(self) -> "TangentIso":
+        """L_u, built on first use and kept; an ill-conditioned one raises each time."""
+        return TangentIso(self)
 
     @property
     def arrays(self):
@@ -116,13 +122,8 @@ class BundleTangent:
         d_base = np.asarray(self.d_base, dtype=float).reshape(self.n).copy()
         d_base.setflags(write=False)
         object.__setattr__(self, "d_base", d_base)
-        comps = tuple(self.d_tensors)
-        if len(comps) != self.r:
-            raise ShapeMismatchError("BundleTangent: wrong number of components")
-        for k, T in enumerate(comps, start=1):
-            if not isinstance(T, LowerTensor) or T.n != self.n or T.k != k:
-                raise ShapeMismatchError(f"BundleTangent: bad order-{k} component")
-        object.__setattr__(self, "d_tensors", comps)
+        tensors = _validate_tensor_list(self.n, self.r, self.d_tensors, "BundleTangent")
+        object.__setattr__(self, "d_tensors", tensors)
 
     @classmethod
     def from_arrays(cls, d_base, arrays) -> "BundleTangent":
@@ -135,15 +136,7 @@ class BundleTangent:
 
     @classmethod
     def from_flat(cls, n: int, r: int, vec) -> "BundleTangent":
-        vec = np.asarray(vec, dtype=float)
-        arrays, pos = [], n
-        d_base = vec[:n]
-        for k in range(1, r + 1):
-            size = n ** (k + 1)
-            arrays.append(vec[pos:pos + size].reshape((n,) * (k + 1)))
-            pos += size
-        if pos != vec.size:
-            raise ShapeMismatchError("flat tangent has wrong length")
+        d_base, *arrays = unflatten(n, r + 1, vec)
         return cls.from_arrays(d_base, arrays)
 
     @property
@@ -195,9 +188,7 @@ def change_chart(
     )
 
 
-def change_chart_pushforward(
-    u: FrameCoords, T: TransitionJet, X: BundleTangent, chart_id: str | None = None
-) -> BundleTangent:
+def change_chart_pushforward(u: FrameCoords, T: TransitionJet, X: BundleTangent) -> BundleTangent:
     """Differential of change_chart; needs the jet one order above the frame.
 
     The chart-change tensors depend on the base point through the map's
@@ -264,45 +255,49 @@ def translation_matrix(u_arrays, n: int, r: int) -> np.ndarray:
     Requires frame tensors of orders 1..r; the output square matrix has
     side n + n² + … + nʳ.  Linear (homogeneous) in the frame tensors.
     """
-    N = algebra_size(n, r)
-    L = np.zeros((N, N))
-    # block k starts at offsets[k]; same layout for rows and columns
-    offsets = np.cumsum([0] + [n ** (k + 1) for k in range(r)])
+    offsets = flat_offsets(n, r)  # the same layout for rows and columns
+    L = np.zeros((offsets[-1], offsets[-1]))
     L[: n, : n] = u_arrays[0]
     for k in range(1, r):
         r0, r1 = offsets[k], offsets[k + 1]
         # base column: order-(k+1) frame tensor, last index contracted
-        L[r0:r1, :n] = u_arrays[k].reshape(n ** (k + 1), n)
+        L[r0:r1, :n] = u_arrays[k].reshape(r1 - r0, n)
         for m in range(1, k + 1):
-            c0, c1 = offsets[m], offsets[m + 1]
-            acc = np.zeros((n ** (k + 1), n ** (m + 1)))
-            for P in itertools.combinations(range(k), m):
-                acc += _translation_block(u_arrays, n, k, P)
-            L[r0:r1, c0:c1] = acc
+            L[r0:r1, offsets[m]:offsets[m + 1]] = sum(
+                _translation_block(u_arrays, n, k, P) for P in itertools.combinations(range(k), m))
     return L
 
 
 class TangentIso:
     """The isomorphism L_u between the identity tangent space one order
-    down and the tangent space at u, materialized as a dense matrix."""
+    down and the tangent space at u, materialized as a dense matrix.
+
+    Each frame builds one, once (`FrameCoords.iso`); its arrays are read-only.
+    """
 
     def __init__(self, u: FrameCoords):
-        self.u = u
         self.n, self.r = u.n, u.r
         self.N = algebra_size(self.n, self.r)
         self.matrix = translation_matrix(u.arrays, self.n, self.r)
+        self.matrix.setflags(write=False)
         if np.linalg.cond(self.matrix) > 1e8:
             raise SingularityError("right-translation matrix is ill-conditioned")
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """L_u⁻¹: θ on the coordinate fields of orders below the top."""
+        inverse = np.linalg.inv(self.matrix)
+        inverse.setflags(write=False)
+        return inverse
 
     def apply(self, Y: JetAlgebraElement) -> BundleTangent:
         """Push an algebra vector to a tangent at u (orders 0..r-1 rows)."""
         if Y.n != self.n or Y.r != self.r:
             raise ShapeMismatchError("algebra vector shape mismatch")
         # top-order slot not determined by the lower-level tangent space
-        top = np.zeros(self.n ** (self.r + 1))
-        return BundleTangent.from_flat(
-            self.n, self.r, np.concatenate([self.matrix @ Y.flat(), top])
-        )
+        flat = np.zeros(coord_size(self.n, self.r))
+        flat[: self.N] = self.matrix @ Y.flat()
+        return BundleTangent.from_flat(self.n, self.r, flat)
 
     def solve(self, X: BundleTangent) -> JetAlgebraElement:
         """Invert L_u on the order-(r-1) projection of X (top order dropped)."""
@@ -311,4 +306,4 @@ class TangentIso:
 
 
 def tangent_iso(u: FrameCoords) -> TangentIso:
-    return TangentIso(u)
+    return u.iso

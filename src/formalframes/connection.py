@@ -58,23 +58,31 @@ class ChristoffelField:
                    data.get("chart_id", "chart0"))
 
 
+def deformation_transform(mu: np.ndarray, T: TransitionJet) -> np.ndarray:
+    """Tensorial chart change of a Hom(TM,TM)-valued 1-form coefficient table.
+
+    Solves μ̂^i_{αβ} Dφ^α_j Dφ^β_k = Dφ^i_α μ^α_{jk} for μ̂ at the image
+    point: μ̂ = Dφ · μ · (ψ ⊗ ψ) with ψ = (Dφ)⁻¹.
+    """
+    D = T.arrays[0]
+    if abs(np.linalg.det(D)) < 1e-300:
+        raise SingularityError("singular transition derivative")
+    psi = np.linalg.inv(D)
+    mu = np.asarray(mu, dtype=float)
+    return np.einsum("ia,abc,bj,ck->ijk", D, mu, psi, psi)
+
+
 def christoffel_transform(gamma: np.ndarray, T: TransitionJet) -> np.ndarray:
     """Pointwise transformation law under a chart change with 2-jet T.
 
     Γ̂^i_{jk} at the image point equals
-    −Hφ^i_{αβ} ψ^α_j ψ^β_k + Dφ^i_α Γ^α_{βγ} ψ^β_j ψ^γ_k with ψ = (Dφ)⁻¹.
+    −Hφ^i_{αβ} ψ^α_j ψ^β_k plus the tensorial `deformation_transform` of Γ.
     """
     if T.order < 2:
         raise ShapeMismatchError("chart change of a connection needs a 2-jet")
-    D, H = T.arrays[0], T.arrays[1]
-    if abs(np.linalg.det(D)) < 1e-300:
-        raise SingularityError("singular transition derivative")
-    psi = np.linalg.inv(D)
-    gamma = np.asarray(gamma, dtype=float)
-    return (
-        -np.einsum("iab,aj,bk->ijk", H, psi, psi)
-        + np.einsum("ia,abc,bj,ck->ijk", D, gamma, psi, psi)
-    )
+    tensorial = deformation_transform(gamma, T)
+    psi = np.linalg.inv(T.arrays[0])
+    return -np.einsum("iab,aj,bk->ijk", T.arrays[1], psi, psi) + tensorial
 
 
 def connection_section(gamma_field: ChristoffelField, u: FrameCoords) -> FrameCoords:

@@ -15,10 +15,10 @@ import numpy as np
 
 from .bundle import FrameCoords, right_action
 from .charts import TransitionJet, transition_jet
-from .connection import ChristoffelField, christoffel_transform
+from .connection import ChristoffelField, christoffel_transform, deformation_transform
 from .fields import PolyField
 from .jetgroup import JetGroupElement
-from .tensors import ShapeMismatchError, SingularityError, check_square
+from .tensors import ShapeMismatchError, check_square
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +120,6 @@ def tg_adjoint(p: TangentGroupElement, v: TangentAlgebraElement) -> TangentAlgeb
 
 # ---------------------------------------------------------------------------
 # deformation 1-forms and pairs
-
-
-def deformation_transform(mu: np.ndarray, T: TransitionJet) -> np.ndarray:
-    """Tensorial chart change of a Hom(TM,TM)-valued 1-form coefficient table.
-
-    Solves μ̂^i_{αβ} Dφ^α_j Dφ^β_k = Dφ^i_α μ^α_{jk} for μ̂ at the image
-    point: μ̂ = Dφ · μ · (ψ ⊗ ψ) with ψ = (Dφ)⁻¹.
-    """
-    D = T.arrays[0]
-    if abs(np.linalg.det(D)) < 1e-300:
-        raise SingularityError("singular transition derivative")
-    psi = np.linalg.inv(D)
-    mu = np.asarray(mu, dtype=float)
-    return np.einsum("ia,abc,bj,ck->ijk", D, mu, psi, psi)
 
 
 @dataclass(frozen=True)
@@ -392,7 +378,7 @@ def frame_pair_action(frame: FrameCoords, algebra_pair, g, X):
     return frame_new, (b_new, b2_new)
 
 
-def deform_canonical_form(s: GarciaPairPoint, dx, da, db, da2=None, db2=None):
+def deform_canonical_form(s: GarciaPairPoint, dx, da, db):
     """Canonical 1-form of the section-jet bundle at s on a tangent vector.
 
     Value in the tangent-group algebra: with c = a⁻¹ and

@@ -20,13 +20,11 @@ import numpy as np
 from .bundle import (
     BundleTangent,
     FrameCoords,
-    AlgebraVector,
-    TangentIso,
     algebra_size,
     coord_size,
     translation_matrix,
 )
-from .jetgroup import _LETTERS
+from .jetgroup import _LETTERS, JetAlgebraElement, flat_offsets
 from .tensors import (
     ShapeMismatchError,
     SingularityError,
@@ -112,11 +110,10 @@ def translation_matrix_derivative(n: int, r: int) -> tuple:
     # index is that of the row.  So one evaluation of L may switch on, in
     # every order at once, the entries (i, t) of every upper index i and one
     # flat lower index t: no two of them reach the same entry of L.
-    N = algebra_size(n, r)
-    bounds = np.cumsum([0] + [n ** (k + 1) for k in range(r)])
-    block = np.searchsorted(bounds, np.arange(N), side="right") - 1
-    upper = (np.arange(N) - bounds[block]) // n ** block
-    first = n + np.cumsum([0] + [n ** (p + 1) for p in range(1, r)])
+    bounds = flat_offsets(n, r)
+    block = np.searchsorted(bounds, np.arange(bounds[-1]), side="right") - 1
+    upper = (np.arange(bounds[-1]) - bounds[block]) // n ** block
+    first = flat_offsets(n, r + 1)[1:]  # first[p - 1]: where coordinates of u^p start
     A, j, k, value = [], [], [], []
     for t in range(n ** r):
         flats = [np.zeros((n, n ** p)) for p in range(1, r + 1)]
@@ -154,12 +151,12 @@ class FrameCalculus:
         self.n, self.r = u.n, u.r
         self.N = algebra_size(self.n, self.r)
         self.M = coord_size(self.n, self.r)
-        self.iso = TangentIso(u)
-        self._Linv = np.linalg.inv(self.iso.matrix)
+        self.iso = u.iso
+        self._Linv = self.iso.inverse
         # θ on coordinate fields: the top-order coordinate block projects to 0
         self.theta_table = np.zeros((self.N, self.M))
         self.theta_table[:, : self.N] = self._Linv
-        self._offsets = np.cumsum([0] + [self.n ** (k + 1) for k in range(self.r)])
+        self._offsets = flat_offsets(self.n, self.r)
         self._partials = None
 
     # -- component views ---------------------------------------------------
@@ -173,9 +170,6 @@ class FrameCalculus:
         return view.reshape((self.n,) * (k + 1) + (self.M,))
 
     # -- values ------------------------------------------------------------
-
-    def canonical_form(self, X: BundleTangent) -> AlgebraVector:
-        return self.iso.solve(X)
 
     @property
     def partials(self) -> np.ndarray:
@@ -295,8 +289,8 @@ class FrameCalculus:
 # functional wrappers
 
 
-def canonical_form(u: FrameCoords, X: BundleTangent) -> AlgebraVector:
-    return FrameCalculus(u).canonical_form(X)
+def canonical_form(u: FrameCoords, X: BundleTangent) -> JetAlgebraElement:
+    return u.iso.solve(X)
 
 
 def form_partials(u: FrameCoords, component: int | None = None) -> np.ndarray:

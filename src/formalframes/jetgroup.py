@@ -144,6 +144,27 @@ def frame_translation_apply(u_arrays, y0, y_arrays, k_max: int):
 
 
 # ---------------------------------------------------------------------------
+# the flat layout: orders 0..r-1 one after another, each row-major
+
+
+@functools.lru_cache(maxsize=None)
+def flat_offsets(n: int, r: int) -> np.ndarray:
+    """Read-only start of each order 0..r-1 in a flat vector, then its length.
+
+    An order-r frame or tangent (base, tensors 1..r) has the order-(r+1) layout.
+    """
+    offsets = np.cumsum([0] + [n ** (k + 1) for k in range(r)])
+    offsets.setflags(write=False)
+    return offsets
+
+
+def unflatten(n: int, r: int, vec) -> list:
+    """The arrays of orders 0..r-1 of a flat vector in that layout."""
+    vec = np.asarray(vec, dtype=float)
+    offsets = flat_offsets(n, r)
+    if vec.shape != (offsets[-1],):
+        raise ShapeMismatchError(f"flat vector has shape {vec.shape}, expected ({offsets[-1]},)")
+    return [vec[offsets[k]:offsets[k + 1]].reshape((n,) * (k + 1)) for k in range(r)]
 
 
 def _validate_tensor_list(n, r, tensors, what):
@@ -235,15 +256,7 @@ class JetAlgebraElement:
 
     @classmethod
     def from_flat(cls, n: int, r: int, vec) -> "JetAlgebraElement":
-        vec = np.asarray(vec, dtype=float)
-        arrays, pos = [], 0
-        for k in range(r):
-            size = n ** (k + 1)
-            arrays.append(vec[pos:pos + size].reshape((n,) * (k + 1)))
-            pos += size
-        if pos != vec.size:
-            raise ShapeMismatchError("flat vector has wrong length")
-        return cls.from_arrays(arrays)
+        return cls.from_arrays(unflatten(n, r, vec))
 
     def to_json(self) -> dict:
         return {"n": self.n, "r": self.r, "tensors": [T.to_json() for T in self.X]}

@@ -25,6 +25,7 @@ from .connection import (
     ChristoffelField,
     christoffel_transform,
     connection_section,
+    deformation_transform,
     section_pullback_connection,
 )
 from .deform import (
@@ -35,7 +36,6 @@ from .deform import (
     check_deformation_pair,
     covariant_derivative_residual,
     deform_frame_iso,
-    deformation_transform,
     frame_pair_action,
     garcia_pair_action,
     lift_block_identity,

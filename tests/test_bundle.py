@@ -1,3 +1,6 @@
+import itertools
+import pickle
+
 import numpy as np
 import pytest
 from conftest import frame1d, gap, rand_frame, rand_group, rand_tangent
@@ -6,8 +9,12 @@ from formalframes import (
     BundleTangent,
     FrameCoords,
     JetAlgebraElement,
+    ShapeMismatchError,
+    SingularityError,
     SmoothMapSpec,
+    algebra_size,
     change_chart,
+    coord_size,
     fundamental_vector,
     jet_identity,
     jet_inverse,
@@ -125,7 +132,53 @@ def test_frame_json_roundtrip():
 
 def test_tangent_flat_roundtrip():
     rng = np.random.default_rng(5)
-    X = rand_tangent(rng, 2, 2)
-    back = BundleTangent.from_flat(2, 2, X.flat())
-    assert gap(back.d_base, X.d_base) == 0.0
-    assert all(gap(x, y) == 0.0 for x, y in zip(back.arrays, X.arrays))
+    for n, r in itertools.product(range(1, 4), range(1, 5)):
+        X = rand_tangent(rng, n, r)
+        v = X.flat()
+        back = BundleTangent.from_flat(n, r, v)
+        assert gap(back.d_base, X.d_base) == 0.0
+        assert all(gap(x, y) == 0.0 for x, y in zip(back.arrays, X.arrays))
+        # an order-r tangent has the layout of an order-(r+1) algebra vector
+        assert coord_size(n, r) == algebra_size(n, r + 1) == v.size
+        Y = JetAlgebraElement.from_flat(n, r + 1, v)
+        assert all(np.array_equal(x, y) for x, y in zip(back.arrays, Y.arrays[1:]))
+        assert np.array_equal(back.d_base, Y.arrays[0])
+        assert np.array_equal(Y.flat(), v)
+        u = rand_frame(rng, n, r)
+        frame = BundleTangent.from_flat(n, r, u.coords_flat())
+        assert all(np.array_equal(x, y) for x, y in zip(frame.arrays, u.arrays))
+        for bad in (v[:-1], np.append(v, 0.0)):
+            with pytest.raises(ShapeMismatchError):
+                BundleTangent.from_flat(n, r, bad)
+            with pytest.raises(ShapeMismatchError):
+                JetAlgebraElement.from_flat(n, r + 1, bad)
+
+
+def test_tangent_iso_is_built_once_per_frame():
+    u = rand_frame(np.random.default_rng(6), 2, 3)
+    L = tangent_iso(u)
+    assert tangent_iso(u) is L and u.iso is L
+    assert L.inverse is L.inverse
+    assert not L.matrix.flags.writeable and not L.inverse.flags.writeable
+
+
+def test_ill_conditioned_frame_raises_on_every_access():
+    # u¹ is well conditioned, so the frame itself is valid; L_u is not
+    u = FrameCoords.from_arrays(np.zeros(2), [np.eye(2), np.full((2, 2, 2), 1e5)])
+    for _ in range(2):
+        with pytest.raises(SingularityError):
+            tangent_iso(u)
+        with pytest.raises(SingularityError):
+            u.iso
+
+
+def test_frame_with_built_iso_pickles_and_compares_equal():
+    rng = np.random.default_rng(7)
+    u = rand_frame(rng, 2, 3)
+    matrix = tangent_iso(u).matrix
+    back = pickle.loads(pickle.dumps(u))
+    assert back == u and u == back
+    assert gap(tangent_iso(back).matrix, matrix) == 0.0
+    assert u != FrameCoords.from_arrays(u.base, u.arrays, "other")
+    assert u != FrameCoords.from_arrays(u.base + 1.0, u.arrays, u.chart_id)
+    assert u != rand_frame(rng, 2, 3)

@@ -22,7 +22,8 @@ from formalframes import (
     symmetrize_array,
     torsion,
 )
-from formalframes.bundle import translation_matrix
+from formalframes import bundle
+from formalframes.bundle import tangent_iso, translation_matrix
 from formalframes.forms import form_partials, torsion_wedge_terms, translation_matrix_derivative
 
 
@@ -40,6 +41,27 @@ def test_canonical_form_pin():
     theta = canonical_form(u, X)
     assert theta.arrays[0].item() == pytest.approx(0.5)
     assert theta.arrays[1].item() == pytest.approx(-1.5)
+
+
+def test_translation_matrix_built_once_per_frame(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return translation_matrix(*args)
+
+    monkeypatch.setattr(bundle, "translation_matrix", counted)
+    rng = np.random.default_rng(11)
+    u = rand_frame(rng, 2, 3)
+    X = rand_tangent(rng, 2, 3)
+    realizability_check(u)
+    calc = FrameCalculus(u)
+    theta = canonical_form(u, X)
+    L = tangent_iso(u)
+    assert len(calls) == 1
+    assert L is calc.iso
+    assert np.array_equal(calc.theta_table[:, : calc.N], np.linalg.inv(calc.iso.matrix))
+    assert np.array_equal(theta.flat(), np.linalg.solve(calc.iso.matrix, X.flat()[: calc.N]))
 
 
 def test_form_partials_match_finite_differences():

@@ -73,6 +73,49 @@ def test_modules_import_only_what_they_use():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def unused_parameters(source: str):
+    """Parameters a function never references, as (line, function, parameter).
+
+    ``self`` and ``cls`` are exempt, and so are dunder methods, whose
+    signature their protocol fixes (``TaylorScalar.__setattr__``).
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        used = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [(node.lineno, name, p.arg) for p in params
+                  if p is not None and p.arg not in ("self", "cls") and p.arg not in used]
+    return sorted(found)
+
+
+def test_unused_parameter_scan_finds_unused_parameters():
+    source = (
+        "def f(a, b=None, *args, c, **kw):\n    return a + c\n"
+        "class T:\n    def m(self, x, y):\n        g = lambda z, w: z\n        return g(x, 0)\n"
+        "    def __setattr__(self, name, value):\n        raise AttributeError(name)\n"
+        "    def __exit__(self, *exc):\n        pass\n"
+    )
+    assert unused_parameters(source) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "kw"), (4, "m", "y"), (5, "<lambda>", "w"),
+    ]
+
+
+def test_modules_read_every_parameter():
+    found = {
+        path.name: unused_parameters(path.read_text())
+        for path in sorted(Path(formalframes.__file__).parent.glob("*.py"))
+    }
+    assert len(found) == 15
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def package_imports(source: str):
     """Sibling modules of the package a module imports, at any depth."""
     found = set()
