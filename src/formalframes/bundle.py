@@ -31,6 +31,7 @@ from .tensors import (
     LowerTensor,
     ShapeMismatchError,
     SingularityError,
+    _reduce_by_fields,
     check_square,
 )
 
@@ -79,6 +80,8 @@ class FrameCoords:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FrameCoords) and self.to_json() == other.to_json()
+
+    __reduce__ = _reduce_by_fields  # the cached iso is rebuilt on first use
 
     @functools.cached_property
     def iso(self) -> "TangentIso":
@@ -139,12 +142,20 @@ class BundleTangent:
         d_base, *arrays = unflatten(n, r + 1, vec)
         return cls.from_arrays(d_base, arrays)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BundleTangent) and self.to_json() == other.to_json()
+
+    __reduce__ = _reduce_by_fields
+
     @property
     def arrays(self):
         return [T.entries for T in self.d_tensors]
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.d_base] + [arr.ravel() for arr in self.arrays])
+
+    def to_json(self) -> dict:
+        return {"d_base": self.d_base.tolist(), "tensors": [T.to_json() for T in self.d_tensors]}
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +312,8 @@ class TangentIso:
 
     def solve(self, X: BundleTangent) -> JetAlgebraElement:
         """Invert L_u on the order-(r-1) projection of X (top order dropped)."""
+        if X.n != self.n or X.r != self.r:
+            raise ShapeMismatchError("tangent shape mismatch")
         sol = np.linalg.solve(self.matrix, X.flat()[: self.N])
         return JetAlgebraElement.from_flat(self.n, self.r, sol)
 

@@ -12,6 +12,7 @@ Exterior derivatives are evaluated on coordinate vector fields only
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .bundle import (
     coord_size,
     translation_matrix,
 )
-from .jetgroup import _LETTERS, JetAlgebraElement, flat_offsets
+from .jetgroup import JetAlgebraElement, flat_offsets
 from .tensors import (
     ShapeMismatchError,
     SingularityError,
@@ -86,6 +87,34 @@ def torsion_wedge_terms(t: TorsionType):
     return terms
 
 
+@functools.lru_cache(maxsize=None)
+def _wedge_plan(k: int, terms: tuple) -> tuple:
+    """How each wedge term of order k becomes a matmul over its contracted index l.
+
+    A term (first, second) multiplies θ^{a+1}, axes (i, first…, A), with
+    θ^{k−1−a}, axes (l, second…, B), summed over l.  The first factor is
+    permuted to (i, its output indices…, A, l) and the second to (its
+    output indices…, l, B); an index tuple then inserts unit axes (None) at
+    the output positions each lacks, so both broadcast over (i, j_0…j_{k−2})
+    and their matmul is the term on (A, B).  Per term: (a + 1, permutation,
+    index, k − 1 − a, permutation, index).
+    """
+    plan, all_ = [], slice(None)
+    for first, second in terms:
+        a = len(first) - 1
+        kept = tuple(1 + p for p, q in enumerate(first) if q != "l")
+        perm1 = (0,) + kept + (a + 2, 1 + first.index("l"))
+        perm2 = tuple(range(1, k - a)) + (0, k - a)
+        units1 = (all_,) + tuple(all_ if q in first else None for q in range(k - 1)) + (all_,) * 2
+        units2 = (None,) + tuple(all_ if q in second else None for q in range(k - 1)) + (all_,) * 2
+        plan.append((a + 1, perm1, units1, k - 1 - a, perm2, units2))
+    return tuple(plan)
+
+
+# bytes of table planes written and transposed at a time: well inside an L2 cache
+_CACHE_BYTES = 1 << 20
+
+
 # --------------------------------------------------------------------------
 # cached constant derivative of the translation matrix
 
@@ -143,7 +172,13 @@ class FrameCalculus:
     row-major (M of them); canonical-form components are ordered by
     component order 0..r-1 (N rows).  θ vanishes on the top-order
     coordinates (columns N..M-1), so every θ⊗θ product lives on the (N, N)
-    block of coordinate pairs.
+    block of coordinate pairs and ∂θ on the columns below N.
+
+    Tables: `dtheta_component`, `torsion_table`, `curvature_table` and
+    `base_torsion_table` all come from one writer, `_table`, which fills
+    its fresh (R, M, M) output once, region by region, from the (R, M, N)
+    block of ∂θ (a view of the kept `partials`, or just those rows
+    computed afresh) and the wedge sum, one batched matmul.
     """
 
     def __init__(self, u: FrameCoords):
@@ -175,60 +210,93 @@ class FrameCalculus:
     def partials(self) -> np.ndarray:
         """G[c, A, B] = ∂_A θ_B[c], exact; shape (N, M, M), 8·N·M² bytes."""
         if self._partials is None:
-            self._partials = self._partial_rows(slice(None))
+            self._partials = self._partial_block(slice(None), self.M)
         return self._partials
 
     def _partial_rows(self, rows: slice) -> np.ndarray:
-        """The given rows of `partials`; a view of it once it is kept.
+        """The nonzero block [:, :, :N] of the given rows of `partials`: (R, M, N).
+
+        A view of the kept array, or just that block computed afresh.
+        """
+        if self._partials is not None:
+            return self._partials[rows, :, : self.N]
+        return self._partial_block(rows, self.N)
+
+    def _partial_block(self, rows: slice, width: int) -> np.ndarray:
+        """The given rows of `partials` on columns < width (N or M): (R, M, width).
 
         ∂_A θ_B = −(L⁻¹ (∂_A L) L⁻¹)_B for B < N and 0 for the top-order B,
         so each ∂_A θ is a sum of outer products, one per triplet of ∂_A L.
         """
-        if self._partials is not None:
-            return self._partials[rows]
         A, j, k, value = translation_matrix_derivative(self.n, self.r)
         left = -self._Linv[rows][:, j] * value  # (R, nnz)
         right = self._Linv[k]  # (nnz, N)
-        G = np.zeros((left.shape[0], self.M, self.M))
+        out = np.zeros((left.shape[0], self.M, width))
         bounds = np.searchsorted(A, np.arange(self.M + 1))
         for a in range(self.M):
             s, e = bounds[a], bounds[a + 1]
             if s < e:
-                G[:, a, : self.N] = left[:, s:e] @ right[s:e]
-        return G
+                out[:, a, : self.N] = left[:, s:e] @ right[s:e]
+        return out
 
     def dtheta_component(self, k: int) -> np.ndarray:
         """dθ^k on coordinate pairs: (n,)*(k+1) + (M, M), antisymmetric in (A, B)."""
-        G = self._partial_rows(self.component_rows(k))
-        dtheta = G - G.transpose(0, 2, 1)
-        return dtheta.reshape((self.n,) * (k + 1) + (self.M, self.M))
+        return self._table(k, (), self.M)
 
     # -- torsion and curvature ---------------------------------------------
 
-    def _wedge_sum(self, k: int, terms, width: int) -> np.ndarray:
-        """Σ θ^{a+1} ⊗ θ^{k−1−a} over the wedge terms, on coordinates < width.
+    def _wedge_factors(self, k: int, terms: tuple, width: int) -> tuple:
+        """Stacked factors F1 (n^k, width, K), F2 (n^k, K, width) of the wedge sum.
 
-        Shape (n,)*k + (width, width); antisymmetrising it in the last two
-        axes gives the sum of the wedge products.
+        F1 @ F2 = Σ θ^{a+1} ⊗ θ^{k−1−a} over the wedge terms, on coordinates
+        < width; antisymmetrising it in the last two axes gives the sum of
+        the wedge products.  Each term contributes n columns of F1 and rows
+        of F2, one per value of the contracted index l (see `_wedge_plan`),
+        so the whole sum is one matmul with K = n·(number of terms).
         """
-        out_letters = _LETTERS[: k - 1]
-        out = "i" + out_letters + "AB"
-        total = np.zeros((self.n,) * k + (width, width))
-        for first, second in terms:
-            a = len(first) - 1
-            sub1 = "i" + "".join("l" if q == "l" else out_letters[q] for q in first) + "A"
-            sub2 = "l" + "".join(out_letters[q] for q in second) + "B"
-            O1 = self.theta_component(a + 1)[..., :width]
-            O2 = self.theta_component(k - 1 - a)[..., :width]
-            total += np.einsum(f"{sub1},{sub2}->{out}", O1, O2)
-        return total
+        n = self.n
+        K = n * len(terms)
+        F1 = np.empty((n,) * k + (width, K))
+        F2 = np.empty((n,) * k + (K, width))
+        for t, (c1, perm1, units1, c2, perm2, units2) in enumerate(_wedge_plan(k, terms)):
+            cols = slice(t * n, (t + 1) * n)
+            F1[..., cols] = self.theta_component(c1)[..., :width].transpose(perm1)[units1]
+            F2[..., cols, :] = self.theta_component(c2)[..., :width].transpose(perm2)[units2]
+        return F1.reshape(-1, width, K), F2.reshape(-1, K, width)
 
-    def _structure_form(self, k: int, terms) -> np.ndarray:
-        """dθ^{k−1} plus the wedge terms, on all coordinate pairs: (n,)*k + (M, M)."""
-        total = self.dtheta_component(k - 1)
-        W = self._wedge_sum(k, terms, self.N)
-        total[..., : self.N, : self.N] += W - np.swapaxes(W, -1, -2)
-        return total
+    def _table(self, c: int, terms: tuple, width: int) -> np.ndarray:
+        """dθ^c plus the order-(c+1) wedge terms on coordinate pairs below width.
+
+        Shape (n,)*(c+1) + (width, width), written once, by region.  With
+        G = ∂θ and W the wedge sum, the (N, N) block is antisym(G + W), the
+        (M−N, N) block is G, the (N, M−N) block is −Gᵀ (θ vanishes on the
+        top-order coordinates) and the rest is zero.  With width = n (base
+        pairs) dθ vanishes, since θ does not depend on the base point, and no
+        partials are needed.  The component axis is taken in slices whose
+        (width, width) planes stay in cache from the matmul to the transposes.
+        """
+        n, N = self.n, self.N
+        inner = min(width, N)
+        F1, F2 = self._wedge_factors(c + 1, terms, inner) if terms else (None, None)
+        G = self._partial_rows(self.component_rows(c)) if width > n else None
+        out = np.empty((n ** (c + 1), width, width))
+        step = max(1, _CACHE_BYTES // out[0].nbytes)
+        for s in range(0, len(out), step):
+            part = slice(s, s + step)
+            o = out[part]
+            if F1 is None:
+                H = G[part, :inner]
+            else:
+                H = np.matmul(F1[part], F2[part])
+                if G is not None:
+                    H += G[part, :inner]
+            np.subtract(H, H.transpose(0, 2, 1), out=o[:, :inner, :inner])
+            if G is not None:
+                top = G[part, N:]
+                o[:, N:, :N] = top
+                np.negative(top.transpose(0, 2, 1), out=o[:, :N, N:])
+                o[:, N:, N:] = 0.0
+        return out.reshape((n,) * (c + 1) + (width, width))
 
     def _check_torsion_order(self, k: int) -> None:
         if k > self.r - 1:
@@ -243,13 +311,12 @@ class FrameCalculus:
         behind the realizability criterion.
         """
         self._check_torsion_order(t.k)
-        W = self._wedge_sum(t.k, torsion_wedge_terms(t), self.n)
-        return W - np.swapaxes(W, -1, -2)
+        return self._table(t.k - 1, tuple(torsion_wedge_terms(t)), self.n)
 
     def torsion_table(self, t: TorsionType) -> np.ndarray:
         """Θ^{k,t} on all coordinate pairs: shape (n,)*k + (M, M)."""
         self._check_torsion_order(t.k)
-        return self._structure_form(t.k, torsion_wedge_terms(t))
+        return self._table(t.k - 1, tuple(torsion_wedge_terms(t)), self.M)
 
     def max_torsion(self, orders=None, base_pairs: bool = True) -> tuple[float, dict]:
         """Largest torsion entry over all orders and insertion types.
@@ -282,7 +349,7 @@ class FrameCalculus:
         if self.r < 2:
             raise ShapeMismatchError("curvature needs frame order >= 2")
         # θ¹∧θ¹ is the first wedge term of every order-2 torsion
-        return self._structure_form(2, [(("l",), (0,))])
+        return self._table(1, ((("l",), (0,)),), self.M)
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +369,7 @@ def form_partials(u: FrameCoords, component: int | None = None) -> np.ndarray:
     calc = FrameCalculus(u)
     if component is None:
         return calc.partials
-    rows = calc._partial_rows(calc.component_rows(component))
+    rows = calc._partial_block(calc.component_rows(component), calc.M)
     return rows.reshape((u.n,) * (component + 1) + (calc.M, calc.M))
 
 

@@ -19,6 +19,7 @@ from .tensors import (
     AsymmetryError,
     LowerTensor,
     ShapeMismatchError,
+    _reduce_by_fields,
     asymmetry_witness,
     check_square,
     symmetrize_array,
@@ -283,7 +284,7 @@ class ClassicalJet:
             )
         object.__setattr__(self, "s", tensors)
         if self.base is not None:
-            base = np.asarray(self.base, dtype=float).reshape(self.n)
+            base = np.asarray(self.base, dtype=float).reshape(self.n).copy()
             base.setflags(write=False)
             object.__setattr__(self, "base", base)
 
@@ -295,6 +296,11 @@ class ClassicalJet:
             LowerTensor(n, k, arr) for k, arr in enumerate(arrays, start=1)
         )
         return cls(n, len(arrays), tensors, base, tol)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ClassicalJet) and self.to_json() == other.to_json()
+
+    __reduce__ = _reduce_by_fields
 
     @property
     def arrays(self):

@@ -10,7 +10,7 @@ of the package (tensors, jets, frames) calls.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,15 @@ DEFAULT_RTOL = 1e-9
 
 # condition-number guard for order-1 tensors used as matrices in linear solves
 COND_LIMIT = 1e8
+
+
+def _reduce_by_fields(obj):
+    """Pickle a frozen dataclass as a call of its constructor on its fields.
+
+    Unpickling then runs ``__post_init__``: arrays come back read-only, and
+    nothing cached in the instance ``__dict__`` travels along.
+    """
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 class ShapeMismatchError(ValueError):
@@ -104,6 +113,8 @@ class LowerTensor:
 
     def __hash__(self):
         return hash((self.n, self.k, self.entries.tobytes()))
+
+    __reduce__ = _reduce_by_fields
 
 
 def symmetrize(T: LowerTensor) -> LowerTensor:

@@ -13,6 +13,7 @@ from formalframes import (
     SingularityError,
     SmoothMapSpec,
     algebra_size,
+    canonical_form,
     change_chart,
     coord_size,
     fundamental_vector,
@@ -170,6 +171,40 @@ def test_ill_conditioned_frame_raises_on_every_access():
             tangent_iso(u)
         with pytest.raises(SingularityError):
             u.iso
+
+
+def test_canonical_form_checks_the_tangent_shape():
+    rng = np.random.default_rng(12)
+    u = rand_frame(rng, 2, 2)
+    for X in (rand_tangent(rng, 2, 3), rand_tangent(rng, 2, 1), rand_tangent(rng, 3, 2)):
+        with pytest.raises(ShapeMismatchError):
+            canonical_form(u, X)
+        with pytest.raises(ShapeMismatchError):
+            u.iso.solve(X)
+
+
+def test_tangent_compares_by_value_and_survives_pickle():
+    rng = np.random.default_rng(13)
+    X = rand_tangent(rng, 2, 3)
+    back = pickle.loads(pickle.dumps(X))
+    assert back == X and X == back
+    assert X != BundleTangent.from_arrays(X.d_base + 1.0, X.arrays)
+    assert X != rand_tangent(rng, 2, 3)
+    assert X != X.flat()
+
+
+def test_unpickled_values_are_read_only_and_drop_the_cached_iso():
+    rng = np.random.default_rng(15)
+    u = rand_frame(rng, 2, 3)
+    matrix = u.iso.matrix
+    back = pickle.loads(pickle.dumps(u))
+    assert "iso" not in vars(back)
+    assert gap(back.iso.matrix, matrix) == 0.0 and not back.iso.matrix.flags.writeable
+    X = pickle.loads(pickle.dumps(rand_tangent(rng, 2, 3)))
+    T = pickle.loads(pickle.dumps(u.a[1]))
+    assert T == u.a[1]
+    arrays = [back.base, X.d_base, T.entries] + back.arrays + X.arrays
+    assert not any(arr.flags.writeable for arr in arrays)
 
 
 def test_frame_with_built_iso_pickles_and_compares_equal():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import frame1d, gap, rand_frame, rand_group, rand_tangent
@@ -320,7 +322,7 @@ def _dense_dL(n, r):
 
 def _rel_gap(x, ref, *terms):
     """Gap relative to the largest of ref and the terms summed into it."""
-    scale = max([1.0] + [float(np.max(np.abs(y))) for y in (ref,) + terms])
+    scale = max(float(np.max(np.abs(y))) for y in (ref,) + terms)
     return gap(x, ref) / scale
 
 
@@ -340,6 +342,42 @@ def test_derivative_triplets_rebuild_translation_matrix(n, r):
     assert translation_matrix_derivative(n, r) is translation_matrix_derivative(n, r)
 
 
+def _reference_dtheta(G, calc, k):
+    """dθ^k as G − Gᵀ on the rows of component k, the formula the writer replaced."""
+    rows = G[calc.component_rows(k)]
+    return (rows - rows.transpose(0, 2, 1)).reshape((calc.n,) * (k + 1) + (calc.M, calc.M))
+
+
+def _reference_wedges(calc, k, terms, width):
+    """θ^{a+1} ⊗ θ^{k−1−a} on coordinate pairs < width, one einsum per wedge term.
+
+    Antisymmetrising their sum in the last two axes gives the wedge sum.
+    """
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    out = "i" + letters[: k - 1] + "AB"
+    wedges = []
+    for first, second in terms:
+        a = len(first) - 1
+        sub1 = "i" + "".join("l" if q == "l" else letters[q] for q in first) + "A"
+        sub2 = "l" + "".join(letters[q] for q in second) + "B"
+        wedges.append(np.einsum(f"{sub1},{sub2}->{out}", calc.theta_component(a + 1)[..., :width],
+                                calc.theta_component(k - 1 - a)[..., :width]))
+    return wedges
+
+
+def _antisym(W):
+    return W - np.swapaxes(W, -1, -2)
+
+
+def _reference_table(G, calc, k, terms):
+    """dθ^{k−1} plus the wedge sum, on the (N, N) block where θ lives; with both terms."""
+    d = _reference_dtheta(G, calc, k - 1)
+    wedge = _antisym(sum(_reference_wedges(calc, k, terms, calc.N)))
+    table = d.copy()
+    table[..., : calc.N, : calc.N] += wedge
+    return table, d, wedge
+
+
 @pytest.mark.parametrize("n,r", [(2, 3), (2, 4), (3, 3)])
 def test_sparse_calculus_matches_dense_formulas(n, r):
     rng = np.random.default_rng(30 + n + r)
@@ -350,31 +388,65 @@ def test_sparse_calculus_matches_dense_formulas(n, r):
             G = -np.einsum("ij,Ajk,kB->iAB", np.linalg.inv(calc.iso.matrix), dL,
                            calc.theta_table)
             assert _rel_gap(calc.partials, G) < 1e-12
-            dtheta = G - G.transpose(0, 2, 1)
             for k in range(r):
-                rows = dtheta[calc.component_rows(k)]
-                want = rows.reshape((n,) * (k + 1) + (calc.M, calc.M))
-                assert _rel_gap(calc.dtheta_component(k), want) < 1e-12
-            letters = "abcdefghijklmnopqrstuvwxyz"
+                assert _rel_gap(calc.dtheta_component(k), _reference_dtheta(G, calc, k)) < 1e-12
             for k in range(1, r):
-                d = dtheta[calc.component_rows(k - 1)].reshape((n,) * k + (calc.M, calc.M))
                 for t in enumerate_torsion_types(k):
-                    wedge = np.zeros_like(d)
-                    out = "i" + letters[: k - 1] + "AB"
-                    for first, second in torsion_wedge_terms(t):
-                        a = len(first) - 1
-                        sub1 = "i" + "".join("l" if q == "l" else letters[q]
-                                             for q in first) + "A"
-                        sub2 = "l" + "".join(letters[q] for q in second) + "B"
-                        W = np.einsum(f"{sub1},{sub2}->{out}", calc.theta_component(a + 1),
-                                      calc.theta_component(k - 1 - a))
-                        wedge += W - np.swapaxes(W, -1, -2)
-                    assert _rel_gap(calc.torsion_table(t), d + wedge, d, wedge) < 1e-12
-            O1 = calc.theta_component(1)
-            W = np.einsum("iaA,ajB->ijAB", O1, O1)
-            wedge = W - np.swapaxes(W, -1, -2)
-            d = dtheta[calc.component_rows(1)].reshape(n, n, calc.M, calc.M)
-            assert _rel_gap(calc.curvature_table(), d + wedge, d, wedge) < 1e-12
+                    ref = _reference_table(G, calc, k, torsion_wedge_terms(t))
+                    assert _rel_gap(calc.torsion_table(t), *ref) < 1e-12
+            ref = _reference_table(G, calc, 2, [(("l",), (0,))])
+            assert _rel_gap(calc.curvature_table(), *ref) < 1e-12
+
+
+@pytest.mark.parametrize("n,r", [(2, 4), (3, 3), (3, 4)])
+def test_table_writer_matches_reference_formulas(n, r):
+    # (3, 4) planes are larger than the writer's slice, so it takes several;
+    # there, one classical and one generic frame keep the test short
+    rng = np.random.default_rng(50 + n + r)
+    frames = [(True, 0.1), (False, 10.0)]
+    if (n, r) != (3, 4):
+        frames += [(True, 10.0), (False, 0.1)]
+    for classical, scale in frames:
+        u = _scaled_frame(rng, n, r, classical, scale)
+        fresh, kept = FrameCalculus(u), FrameCalculus(u)
+        G = kept.partials
+        calcs = (fresh, kept)
+        for k in range(r):
+            want = _reference_dtheta(G, kept, k)
+            for c in calcs:
+                assert _rel_gap(c.dtheta_component(k), want) < 1e-12
+        for k in range(1, r):
+            for t in enumerate_torsion_types(k):
+                terms = torsion_wedge_terms(t)
+                ref = _reference_table(G, kept, k, terms)
+                # on base pairs of a classical frame the terms cancel to
+                # rounding, so the gap is taken relative to the terms
+                base = _reference_wedges(kept, k, terms, n)
+                for c in calcs:
+                    assert _rel_gap(c.torsion_table(t), *ref) < 1e-12
+                    assert _rel_gap(c.base_torsion_table(t), _antisym(sum(base)), *base) < 1e-12
+        ref = _reference_table(G, kept, 2, [(("l",), (0,))])
+        for c in calcs:
+            assert _rel_gap(c.curvature_table(), *ref) < 1e-12
+        assert fresh._partials is None
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_torsion_table_allocates_little_beyond_its_output(keep):
+    calc = FrameCalculus(rand_frame(np.random.default_rng(60), 3, 4))
+    if keep:
+        calc.partials
+    t = TorsionType(3, (2, 3))
+    calc.torsion_table(t)  # fills the per-size caches outside the measurement
+    tracemalloc.start()
+    try:
+        table = calc.torsion_table(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # kept partials are read in place, not computed again
+    assert peak <= (1.2 if keep else 1.6) * table.nbytes
+    assert table.flags.writeable and table.flags.c_contiguous
 
 
 def test_torsion_tables_do_not_need_kept_partials():

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,22 @@ def test_classical_jet_rejects_asymmetric_tensor_naming_worst_order():
     arr3[1, 0, 0, 1] = 3.0
     with pytest.raises(AsymmetryError, match=r"order-3 tensor asymmetric \(gap 3 >"):
         ClassicalJet.from_arrays([np.eye(2), arr2, arr3])
+
+
+def test_classical_jet_with_base_compares_by_value_and_pickles_read_only():
+    c = rand_classical(np.random.default_rng(14), 2, 3)
+    base = np.array([0.5, -1.0])
+    jet = ClassicalJet.from_arrays(c.arrays, base=base)
+    base[0] = 7.0  # the jet keeps its own copy
+    assert jet.base.tolist() == [0.5, -1.0]
+    base[0] = 0.5
+    back = pickle.loads(pickle.dumps(jet))
+    assert back == jet and jet == back
+    assert not back.base.flags.writeable
+    assert not any(arr.flags.writeable for arr in back.arrays)
+    assert jet != ClassicalJet.from_arrays(c.arrays, base=base + 1.0)
+    assert jet != ClassicalJet.from_arrays(c.arrays)
+    assert jet != c.arrays
 
 
 def test_kappa_pin():
