@@ -19,7 +19,6 @@ from .charts import TransitionJet
 from .jetgroup import (
     JetAlgebraElement,
     JetGroupElement,
-    _LETTERS,
     _validate_tensor_list,
     compose_right_derivative,
     compose_tensors,
@@ -230,53 +229,61 @@ def fundamental_vector(u: FrameCoords, X_arrays) -> BundleTangent:
 # the right-translation isomorphism L_u
 
 
-def _translation_block(u_arrays, n, k, P):
-    """Block of L_u mapping the order-|P| algebra slot into the order-k slot.
+# (n, r) -> the table of L_u built by `_translation_table`; `forms` binds the same dict
+_DL_CACHE: dict = {}
 
-    P selects which output index positions are fed by the algebra tensor;
-    the remaining positions contract the frame tensor against identities.
-    Summing over all P of a fixed size gives the full block.
+
+def _translation_table(n: int, r: int) -> tuple:
+    """L_u by frame coordinate: read-only arrays (A, row, column, multiplicity).
+
+    L_u[row, column] = Σ multiplicity · u_A, summed in the table's order: by
+    A (an index into `FrameCoords.coords_flat`), then row, then column.  Row
+    (i, j_0…j_{k−1}) of order k and column (α, β_1…β_m) of order m ≤ k take,
+    for every m-subset P of the row's lower positions with β = j_P, the entry
+    of u^{k−m+1} with upper index i and lower indices j_q for q ∉ P and α in
+    the slot of P, slots ordered by their least position; α goes last when
+    m = 0, the base column.  Built once per (n, r) and kept in `_DL_CACHE`.
     """
-    m = len(P)
-    P = tuple(sorted(P))
-    rest = [q for q in range(k) if q not in P]
-    blocks = sorted([P] + [(q,) for q in rest], key=min)
-    a_arr = u_arrays[k - m]  # frame tensor of order k - m + 1
-    out_j = [_LETTERS[i] for i in range(k)]
-    alpha = _LETTERS[k]
-    betas = [_LETTERS[k + 1 + t] for t in range(m)]
-    up = _LETTERS[k + 1 + m]
-    a_sub = up
-    for block in blocks:
-        a_sub += alpha if block == P else out_j[block[0]]
-    subs = [a_sub]
-    operands = [a_arr]
-    eye = np.eye(n)
-    for t, pos in enumerate(P):
-        subs.append(out_j[pos] + betas[t])
-        operands.append(eye)
-    spec = ",".join(subs) + "->" + up + "".join(out_j) + alpha + "".join(betas)
-    block = np.einsum(spec, *operands)
-    return block.reshape(n ** (k + 1), n ** (m + 1))
+    key = (n, r)
+    if key in _DL_CACHE:
+        return _DL_CACHE[key]
+    offsets = flat_offsets(n, r)  # the same layout for rows and columns
+    first = flat_offsets(n, r + 1)[1:]  # first[p - 1]: where coordinates of u^p start
+    side = int(offsets[-1])
+    cells = []
+    for k in range(r):
+        i, *j, alpha = np.indices((n,) * (k + 2)).reshape(k + 2, -1)
+        row = offsets[k] + np.ravel_multi_index([i, *j], (n,) * (k + 1))
+        for m in range(k + 1):
+            for P in itertools.combinations(range(k), m):
+                rest = [(q,) for q in range(k) if q not in P]
+                slots = sorted(rest + [P], key=min) if P else rest + [P]
+                lower = [alpha if s == P else j[s[0]] for s in slots]
+                beta = [j[q] for q in P]
+                col = offsets[m] + np.ravel_multi_index([alpha, *beta], (n,) * (m + 1))
+                A = first[k - m] + np.ravel_multi_index([i, *lower], (n,) * (k - m + 2))
+                cells.append((A * side + row) * side + col)
+    cell, multiplicity = np.unique(np.concatenate(cells), return_counts=True)
+    A, cell = np.divmod(cell, side * side)
+    table = (A, *np.divmod(cell, side), multiplicity.astype(float))
+    for x in table:
+        x.setflags(write=False)
+    _DL_CACHE[key] = table
+    return table
 
 
 def translation_matrix(u_arrays, n: int, r: int) -> np.ndarray:
     """Matrix of L_u: algebra components (orders 0..r-1) to coordinate rows.
 
     Requires frame tensors of orders 1..r; the output square matrix has
-    side n + n² + … + nʳ.  Linear (homogeneous) in the frame tensors.
+    side n + n² + … + nʳ.  Linear (homogeneous) in the frame tensors: one
+    scatter of their entries over `_translation_table`.
     """
-    offsets = flat_offsets(n, r)  # the same layout for rows and columns
-    L = np.zeros((offsets[-1], offsets[-1]))
-    L[: n, : n] = u_arrays[0]
-    for k in range(1, r):
-        r0, r1 = offsets[k], offsets[k + 1]
-        # base column: order-(k+1) frame tensor, last index contracted
-        L[r0:r1, :n] = u_arrays[k].reshape(r1 - r0, n)
-        for m in range(1, k + 1):
-            L[r0:r1, offsets[m]:offsets[m + 1]] = sum(
-                _translation_block(u_arrays, n, k, P) for P in itertools.combinations(range(k), m))
-    return L
+    A, row, col, multiplicity = _translation_table(n, r)
+    side = algebra_size(n, r)
+    coords = np.concatenate([np.ravel(arr) for arr in u_arrays])
+    L = np.bincount(row * side + col, multiplicity * coords[A - n], minlength=side * side)
+    return L.reshape(side, side)
 
 
 class TangentIso:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .jetgroup import ClassicalJet, JetGroupElement, epsilon_embed
 from .taylor import TaylorScalar, derivative_tensor
-from .tensors import LowerTensor, ShapeMismatchError, SingularityError
+from .tensors import LowerTensor, ShapeMismatchError, SingularityError, _reduce_by_fields
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,23 @@ class TransitionJet:
     D: tuple  # LowerTensors, D[k-1] of lower order k
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        value = np.asarray(self.value, dtype=float)
+        p = np.array(self.p, dtype=float)
+        value = np.array(self.value, dtype=float)
         p.setflags(write=False)
         value.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "D", tuple(self.D))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TransitionJet)
+            and bool(np.array_equal(self.p, other.p))
+            and bool(np.array_equal(self.value, other.value))
+            and self.D == other.D
+        )
+
+    __reduce__ = _reduce_by_fields
 
     @property
     def order(self) -> int:

@@ -18,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import (
-    BundleTangent,
-    FrameCoords,
-    algebra_size,
-    coord_size,
-    translation_matrix,
-)
+from . import bundle
+from .bundle import BundleTangent, FrameCoords, algebra_size, coord_size
 from .jetgroup import JetAlgebraElement, flat_offsets
 from .tensors import (
     ShapeMismatchError,
@@ -116,53 +111,24 @@ _CACHE_BYTES = 1 << 20
 
 
 # --------------------------------------------------------------------------
-# cached constant derivative of the translation matrix
+# constant derivative of the translation matrix
 
 
-_DL_CACHE: dict = {}
+# the one cache of L_u's table, kept by `bundle`; perfbench reads and clears it here
+_DL_CACHE = bundle._DL_CACHE
 
 
 def translation_matrix_derivative(n: int, r: int) -> tuple:
     """∂L/∂(coordinate A) as coordinate triplets (A, j, k, value), sorted by A.
 
     ∂_A L[j, k] is the value of the triplet (A, j, k) and zero where there is
-    none, so L = Σ_A u_A ∂_A L.  The derivative is constant in the frame and
-    has no triplet on the base coordinates: L does not depend on the base
-    point.  At (n, r) = (3, 4) its 2142 triplets stand for a dense
-    (363, 120, 120) stack.
+    none, so L = Σ_A u_A ∂_A L.  L is linear in the frame, so these are the
+    entries of `bundle._translation_table`, kept in `_DL_CACHE`, that
+    `translation_matrix` scatters the frame over.  They have no triplet on
+    the base coordinates: L does not depend on the base point.  At
+    (n, r) = (3, 4) its 2142 triplets stand for a dense (363, 120, 120) stack.
     """
-    key = (n, r)
-    if key in _DL_CACHE:
-        return _DL_CACHE[key]
-    # L is linear in the frame tensors, and its entries in row block k and
-    # column block m come from entries of the order-(k−m+1) tensor whose upper
-    # index is that of the row.  So one evaluation of L may switch on, in
-    # every order at once, the entries (i, t) of every upper index i and one
-    # flat lower index t: no two of them reach the same entry of L.
-    bounds = flat_offsets(n, r)
-    block = np.searchsorted(bounds, np.arange(bounds[-1]), side="right") - 1
-    upper = (np.arange(bounds[-1]) - bounds[block]) // n ** block
-    first = flat_offsets(n, r + 1)[1:]  # first[p - 1]: where coordinates of u^p start
-    A, j, k, value = [], [], [], []
-    for t in range(n ** r):
-        flats = [np.zeros((n, n ** p)) for p in range(1, r + 1)]
-        for flat in flats:
-            if t < flat.shape[1]:
-                flat[:, t] = 1.0
-        L = translation_matrix(
-            [flat.reshape((n,) * (p + 1)) for p, flat in enumerate(flats, start=1)], n, r)
-        rows, cols = np.nonzero(L)
-        order = block[rows] - block[cols] + 1
-        A.append(first[order - 1] + upper[rows] * n ** order + t)
-        j.append(rows)
-        k.append(cols)
-        value.append(L[rows, cols])
-    by_coordinate = np.argsort(np.concatenate(A), kind="stable")
-    triplets = tuple(np.concatenate(x)[by_coordinate] for x in (A, j, k, value))
-    for x in triplets:
-        x.setflags(write=False)
-    _DL_CACHE[key] = triplets
-    return triplets
+    return bundle._translation_table(n, r)
 
 
 class FrameCalculus:

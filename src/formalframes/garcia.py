@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundle import BundleTangent, FrameCoords
 from .jetgroup import JetGroupElement, jet_compose
-from .tensors import LowerTensor, ShapeMismatchError, check_square
+from .tensors import LowerTensor, ShapeMismatchError, _reduce_by_fields, check_square
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,11 @@ class GarciaCoords:
         z = np.asarray(z, dtype=float)
         n = z.shape[0]
         return cls(n, x, y, LowerTensor(n, 2, z), chart_id)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GarciaCoords) and self.to_json() == other.to_json()
+
+    __reduce__ = _reduce_by_fields
 
     def to_json(self) -> dict:
         return {

@@ -1,4 +1,12 @@
 """Shared random generators, test helpers and the acceptance-criteria summary hook."""
+import os
+
+# one BLAS thread, set before numpy loads: the matrices here are small, and
+# threaded BLAS on them is slower, much more so beside another busy process
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 import numpy as np
 
 from formalframes import FrameCoords

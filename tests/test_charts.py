@@ -1,11 +1,15 @@
+import pickle
+
 import numpy as np
 import pytest
 from conftest import gap
 
 from formalframes import (
+    LowerTensor,
     ShapeMismatchError,
     SingularityError,
     SmoothMapSpec,
+    TransitionJet,
     jet_compose,
     jet_of_transition_as_group,
     max_asymmetry,
@@ -112,3 +116,19 @@ def test_map_spec_json_roundtrip():
 def test_composite_dimension_mismatch():
     with pytest.raises(ShapeMismatchError):
         SmoothMapSpec.composite(SmoothMapSpec.identity(2), SmoothMapSpec.identity(3))
+
+
+def test_transition_jet_compares_by_value_and_pickles_read_only():
+    rng = np.random.default_rng(17)
+    p, value = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+    D = tuple(LowerTensor(2, k, rng.uniform(-1, 1, (2,) * (k + 1))) for k in (1, 2, 3))
+    T = TransitionJet(p, value, D)
+    assert p.flags.writeable and value.flags.writeable  # the caller's arrays are copied
+    back = pickle.loads(pickle.dumps(T))
+    assert back == T and T == back
+    assert not any(arr.flags.writeable for arr in [back.p, back.value] + back.arrays)
+    assert T != TransitionJet(p + 1.0, value, D)
+    assert T != TransitionJet(p, value + 1.0, D)
+    assert T != TransitionJet(p, value, D[:2])
+    assert T != TransitionJet(p, value, D[:2] + (LowerTensor(2, 3, D[2].entries + 1.0),))
+    assert T != p

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -306,8 +307,75 @@ def _scaled_frame(rng, n, r, classical, scale):
     return FrameCoords.from_arrays(u.base, [u.arrays[0] * scale] + u.arrays[1:])
 
 
+def _reference_translation_block(u_arrays, n, k, P):
+    """Block of L_u from the order-|P| algebra slot into the order-k slot, one einsum.
+
+    P selects which output index positions are fed by the algebra tensor;
+    the remaining positions contract the frame tensor against identities.
+    Summing over all P of a fixed size gives the full block.
+    """
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    m = len(P)
+    rest = [q for q in range(k) if q not in P]
+    blocks = sorted([P] + [(q,) for q in rest], key=min)
+    out_j, alpha = letters[:k], letters[k]
+    betas, up = letters[k + 1: k + 1 + m], letters[k + 1 + m]
+    a_sub = up + "".join(alpha if block == P else out_j[block[0]] for block in blocks)
+    subs = [a_sub] + [out_j[pos] + betas[t] for t, pos in enumerate(P)]
+    spec = ",".join(subs) + "->" + up + out_j + alpha + betas
+    block = np.einsum(spec, u_arrays[k - m], *[np.eye(n)] * m)
+    return block.reshape(n ** (k + 1), n ** (m + 1))
+
+
+def _reference_translation_matrix(u_arrays, n, r):
+    """L_u block by block from einsums, the builder the cached table replaced."""
+    offsets = np.cumsum([0] + [n ** (k + 1) for k in range(r)])
+    L = np.zeros((offsets[-1], offsets[-1]))
+    L[:n, :n] = u_arrays[0]
+    for k in range(1, r):
+        r0, r1 = offsets[k], offsets[k + 1]
+        # base column: order-(k+1) frame tensor, last index contracted
+        L[r0:r1, :n] = u_arrays[k].reshape(r1 - r0, n)
+        for m in range(1, k + 1):
+            L[r0:r1, offsets[m]:offsets[m + 1]] = sum(
+                _reference_translation_block(u_arrays, n, k, P)
+                for P in itertools.combinations(range(k), m))
+    return L
+
+
+def _reference_derivative(n, r):
+    """The triplets of ∂L read off the reference L_u at one-hot frames.
+
+    L is linear in the frame tensors, and its entries in row block k and
+    column block m come from entries of the order-(k−m+1) tensor whose upper
+    index is that of the row.  So one evaluation of L may switch on, in every
+    order at once, the entries (i, t) of every upper index i and one flat
+    lower index t: no two of them reach the same entry of L.
+    """
+    bounds = np.cumsum([0] + [n ** (k + 1) for k in range(r)])
+    block = np.searchsorted(bounds, np.arange(bounds[-1]), side="right") - 1
+    upper = (np.arange(bounds[-1]) - bounds[block]) // n ** block
+    first = np.cumsum([0] + [n ** (k + 1) for k in range(r + 1)])[1:]
+    A, j, k, value = [], [], [], []
+    for t in range(n ** r):
+        flats = [np.zeros((n, n ** p)) for p in range(1, r + 1)]
+        for flat in flats:
+            if t < flat.shape[1]:
+                flat[:, t] = 1.0
+        L = _reference_translation_matrix(
+            [flat.reshape((n,) * (p + 1)) for p, flat in enumerate(flats, start=1)], n, r)
+        rows, cols = np.nonzero(L)
+        order = block[rows] - block[cols] + 1
+        A.append(first[order - 1] + upper[rows] * n ** order + t)
+        j.append(rows)
+        k.append(cols)
+        value.append(L[rows, cols])
+    by_coordinate = np.argsort(np.concatenate(A), kind="stable")
+    return tuple(np.concatenate(x)[by_coordinate] for x in (A, j, k, value))
+
+
 def _dense_dL(n, r):
-    """(M, N, N) stack of ∂L/∂u_A, each slice L at a unit frame tensor."""
+    """(M, N, N) stack of ∂L/∂u_A, each slice the reference L at a unit frame tensor."""
     shapes = [(n,) * (k + 1) for k in range(1, r + 1)]
     dL = np.zeros((coord_size(n, r), algebra_size(n, r), algebra_size(n, r)))
     pos = n
@@ -315,7 +383,7 @@ def _dense_dL(n, r):
         for local in range(int(np.prod(shape))):
             arrays = [np.zeros(s) for s in shapes]
             arrays[order].flat[local] = 1.0
-            dL[pos] = translation_matrix(arrays, n, r)
+            dL[pos] = _reference_translation_matrix(arrays, n, r)
             pos += 1
     return dL
 
@@ -326,6 +394,28 @@ def _rel_gap(x, ref, *terms):
     return gap(x, ref) / scale
 
 
+@pytest.mark.parametrize(
+    "n,r", [(n, r) for n in (1, 2, 3) for r in (1, 2, 3, 4)] + [(1, 6), (2, 5), (4, 4)])
+def test_translation_table_matches_the_einsum_references(n, r):
+    got, want = translation_matrix_derivative(n, r), _reference_derivative(n, r)
+    assert len(got) == len(want) == 4
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    rng = np.random.default_rng(80 + 10 * n + r)
+    for classical in (True, False):
+        for scale in (0.1, 10.0):
+            u = _scaled_frame(rng, n, r, classical, scale)
+            L = translation_matrix(u.arrays, n, r)
+            ref = _reference_translation_matrix(u.arrays, n, r)
+            if r <= 3:
+                assert np.array_equal(L, ref)
+            else:
+                # an order-3 row entry (α, j, j, j) sums u(α, j, j), u(j, α, j)
+                # and u(j, j, α): the table adds them by coordinate, the
+                # einsums by subset P, so the last bit may differ
+                assert _rel_gap(L, ref) < 1e-15
+
+
 @pytest.mark.parametrize("n,r", [(1, 3), (2, 4), (3, 3)])
 def test_derivative_triplets_rebuild_translation_matrix(n, r):
     u = rand_frame(np.random.default_rng(20 + n + r), n, r)
@@ -333,7 +423,7 @@ def test_derivative_triplets_rebuild_translation_matrix(n, r):
     assert np.all(np.diff(A) >= 0) and A.min() >= n  # sorted, no base coordinate
     L = np.zeros((j.max() + 1,) * 2)
     np.add.at(L, (j, k), u.coords_flat()[A] * value)
-    want = translation_matrix(u.arrays, n, r)
+    want = _reference_translation_matrix(u.arrays, n, r)
     assert _rel_gap(L, want) < 1e-14
     dense = _dense_dL(n, r)
     from_triplets = np.zeros_like(dense)

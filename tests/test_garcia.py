@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from conftest import gap, rand_frame, rand_group, rand_tangent
@@ -120,3 +122,13 @@ def test_json_roundtrip():
     back = GarciaCoords.from_json(g.to_json())
     assert gap(back.y, g.y) == 0.0
     assert gap(back.z.entries, g.z.entries) == 0.0
+
+
+def test_garcia_coords_compare_by_value_and_pickle_read_only():
+    g = phi_map(rand_frame(np.random.default_rng(19), 2, 2))
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and g == back
+    assert not any(arr.flags.writeable for arr in (back.x, back.y, back.z.entries))
+    assert g != GarciaCoords(g.n, g.x + 1.0, g.y, g.z, g.chart_id)
+    assert g != GarciaCoords(g.n, g.x, g.y, g.z, "other")
+    assert g != g.x
