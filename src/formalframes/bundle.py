@@ -23,13 +23,14 @@ from .jetgroup import (
     compose_right_derivative,
     compose_tensors,
     flat_offsets,
-    group_translation_apply,
+    identity_arrays,
     unflatten,
 )
 from .tensors import (
     LowerTensor,
     ShapeMismatchError,
     SingularityError,
+    _eq_by_fields,
     _reduce_by_fields,
     check_square,
 )
@@ -74,12 +75,9 @@ class FrameCoords:
 
     @classmethod
     def identity_frame(cls, n: int, r: int, chart_id: str = "chart0") -> "FrameCoords":
-        arrays = [np.eye(n)] + [np.zeros((n,) * (k + 1)) for k in range(2, r + 1)]
-        return cls.from_arrays(np.zeros(n), arrays, chart_id)
+        return cls.from_arrays(np.zeros(n), identity_arrays(n, r), chart_id)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FrameCoords) and self.to_json() == other.to_json()
-
+    __eq__ = _eq_by_fields
     __reduce__ = _reduce_by_fields  # the cached iso is rebuilt on first use
 
     @functools.cached_property
@@ -141,9 +139,7 @@ class BundleTangent:
         d_base, *arrays = unflatten(n, r + 1, vec)
         return cls.from_arrays(d_base, arrays)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BundleTangent) and self.to_json() == other.to_json()
-
+    __eq__ = _eq_by_fields
     __reduce__ = _reduce_by_fields
 
     @property
@@ -218,11 +214,11 @@ def change_chart_pushforward(u: FrameCoords, T: TransitionJet, X: BundleTangent)
 
 def fundamental_vector(u: FrameCoords, X_arrays) -> BundleTangent:
     """Vertical generator at u of an algebra element (tensors of orders 1..r)."""
-    d_tensors = [
-        group_translation_apply(u.arrays, list(X_arrays), k)
-        for k in range(1, u.r + 1)
-    ]
-    return BundleTangent.from_arrays(np.zeros(u.n), d_tensors)
+    X_arrays = list(X_arrays)
+    identity = identity_arrays(u.n, u.r, X_arrays[0])
+    return BundleTangent.from_arrays(
+        np.zeros(u.n), compose_right_derivative(u.arrays, identity, X_arrays)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import numpy as np
 
 from .jetgroup import ClassicalJet, JetGroupElement, epsilon_embed
 from .taylor import TaylorScalar, derivative_tensor
-from .tensors import LowerTensor, ShapeMismatchError, SingularityError, _reduce_by_fields
+from .tensors import (
+    LowerTensor, ShapeMismatchError, SingularityError, _eq_by_fields, _reduce_by_fields,
+)
 
 
 @dataclass(frozen=True)
@@ -179,14 +181,7 @@ class TransitionJet:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "D", tuple(self.D))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TransitionJet)
-            and bool(np.array_equal(self.p, other.p))
-            and bool(np.array_equal(self.value, other.value))
-            and self.D == other.D
-        )
-
+    __eq__ = _eq_by_fields
     __reduce__ = _reduce_by_fields
 
     @property

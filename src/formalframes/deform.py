@@ -18,7 +18,7 @@ from .charts import TransitionJet, transition_jet
 from .connection import ChristoffelField, christoffel_transform, deformation_transform
 from .fields import PolyField
 from .jetgroup import JetGroupElement
-from .tensors import ShapeMismatchError, check_square
+from .tensors import ShapeMismatchError, _eq_by_fields, _reduce_by_fields, check_square
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +44,9 @@ class TangentGroupElement:
         X.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "X", X)
+
+    __eq__ = _eq_by_fields
+    __reduce__ = _reduce_by_fields
 
     @property
     def n(self) -> int:
@@ -81,6 +84,9 @@ class TangentAlgebraElement:
         dX.setflags(write=False)
         object.__setattr__(self, "dA", dA)
         object.__setattr__(self, "dX", dX)
+
+    __eq__ = _eq_by_fields
+    __reduce__ = _reduce_by_fields
 
     @property
     def n(self) -> int:
@@ -326,11 +332,11 @@ class GarciaPairPoint:
     b2: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).reshape(self.n)
-        a = np.asarray(self.a, dtype=float).reshape(self.n, self.n)
-        b = np.asarray(self.b, dtype=float).reshape(self.n, self.n)
-        a2 = np.asarray(self.a2, dtype=float).reshape((self.n,) * 3)
-        b2 = np.asarray(self.b2, dtype=float).reshape((self.n,) * 3)
+        x = np.array(self.x, dtype=float).reshape(self.n)
+        a = np.array(self.a, dtype=float).reshape(self.n, self.n)
+        b = np.array(self.b, dtype=float).reshape(self.n, self.n)
+        a2 = np.array(self.a2, dtype=float).reshape((self.n,) * 3)
+        b2 = np.array(self.b2, dtype=float).reshape((self.n,) * 3)
         check_square(a, "a block")
         for arr in (x, a, b, a2, b2):
             arr.setflags(write=False)
@@ -339,6 +345,9 @@ class GarciaPairPoint:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "b2", b2)
+
+    __eq__ = _eq_by_fields
+    __reduce__ = _reduce_by_fields
 
 
 def garcia_pair_action(s: GarciaPairPoint, g, X) -> GarciaPairPoint:

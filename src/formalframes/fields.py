@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import ShapeMismatchError
+from .tensors import ShapeMismatchError, _eq_by_fields, _reduce_by_fields
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,9 @@ class PolyField:
                 clean[exp] = arr
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coeffs", clean)
+
+    __eq__ = _eq_by_fields
+    __reduce__ = _reduce_by_fields
 
     @classmethod
     def constant(cls, arr, m: int) -> "PolyField":

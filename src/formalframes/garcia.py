@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundle import BundleTangent, FrameCoords
 from .jetgroup import JetGroupElement, jet_compose
-from .tensors import LowerTensor, ShapeMismatchError, _reduce_by_fields, check_square
+from .tensors import LowerTensor, ShapeMismatchError, _eq_by_fields, _reduce_by_fields, check_square
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ class GarciaCoords:
         n = z.shape[0]
         return cls(n, x, y, LowerTensor(n, 2, z), chart_id)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GarciaCoords) and self.to_json() == other.to_json()
-
+    __eq__ = _eq_by_fields
     __reduce__ = _reduce_by_fields
 
     def to_json(self) -> dict:

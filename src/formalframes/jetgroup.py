@@ -2,11 +2,12 @@
 
 Elements carry tensors ``a[1..r]`` (``a[k]`` of lower order ``k``) with
 ``a[1]`` invertible and *no* symmetry imposed for ``k >= 2``.  The product
-is generated by a formal-differentiation recursion on symbolic terms; the
-order-2 and order-3 closed formulas are kept in the test suite as pinned
-cross-checks.  The symmetric (classical) subgroup is composed through the
-same product, as κ∘product∘ε; the truncated-Taylor route lives only in
-`oracles`, which checks it.
+is generated by a formal-differentiation recursion on symbolic terms, which
+one evaluator, `_order_k`, sums for the product, its right derivative, the
+inverse and the adjoint; the order-2 and order-3 closed formulas are kept
+in the test suite as pinned cross-checks.  The symmetric (classical)
+subgroup is composed through the same product, as κ∘product∘ε; the
+truncated-Taylor route lives only in `oracles`, which checks it.
 """
 from __future__ import annotations
 
@@ -54,94 +55,63 @@ def product_terms(k: int):
 
 def eval_term(a_arr: np.ndarray, factor_arrs, term) -> np.ndarray:
     """Contract the left tensor against one array per block of `term`."""
-    k = sum(len(block) for block in term)
-    m = len(term)
-    out_letters = [_LETTERS[i] for i in range(k)]
-    con_letters = [_LETTERS[k + i] for i in range(m)]
-    up = _LETTERS[k + m]
-    a_sub = up + "".join(con_letters)
-    subs = [a_sub]
-    operands = [a_arr]
-    for t, block in enumerate(term):
-        subs.append(con_letters[t] + "".join(out_letters[p] for p in block))
-        operands.append(factor_arrs[t])
-    spec = ",".join(subs) + "->" + up + "".join(out_letters)
-    return np.einsum(spec, *operands)
+    k, m = sum(len(block) for block in term), len(term)
+    out, con, up = _LETTERS[:k], _LETTERS[k:k + m], _LETTERS[k + m]
+    subs = [up + con] + [con[t] + "".join(out[p] for p in block) for t, block in enumerate(term)]
+    return np.einsum(",".join(subs) + "->" + up + out, a_arr, *factor_arrs)
+
+
+def _order_k(a_arrays, b_arrays, k: int, db_arrays=None) -> np.ndarray:
+    """Order-k component of a·b, or with `db_arrays` its derivative in b along db.
+
+    The derivative sums each term once per block, with that block's factor
+    replaced by db.  A term with an all-zero factor array is skipped, so at
+    b = identity only terms whose other blocks are singletons remain, and a
+    zero b[k] drops the a[1]·b[k] term.
+    """
+    b_zero = [not arr.any() for arr in b_arrays[:k]]
+    db_zero = [] if db_arrays is None else [not arr.any() for arr in db_arrays[:k]]
+    acc = None
+    for term in product_terms(k):
+        orders = [len(block) - 1 for block in term]
+        zero = [t for t, o in enumerate(orders) if b_zero[o]]
+        if db_arrays is None:
+            slots = () if zero else (None,)
+        elif len(zero) == 1:  # only db in that block can make the term nonzero
+            slots = zero
+        else:
+            slots = () if zero else range(len(term))
+        for t in slots:
+            if t is not None and db_zero[orders[t]]:
+                continue
+            factors = [(db_arrays if s == t else b_arrays)[o] for s, o in enumerate(orders)]
+            val = eval_term(a_arrays[len(term) - 1], factors, term)
+            acc = val if acc is None else acc + val
+    if acc is None:  # every term had a zero factor; adding 0·a keeps Fractions Fraction
+        like = b_arrays[:1] if db_arrays is None else [b_arrays[0], db_arrays[0]]
+        zeros = np.zeros((len(a_arrays[0]),) * (k + 1), np.result_type(a_arrays[0], *like))
+        return zeros + 0 * a_arrays[0].flat[0]
+    return acc
 
 
 def compose_tensors(a_arrays, b_arrays, r: int | None = None):
     """Tensor part of the product: raw multilinear evaluation, orders 1..r."""
     if r is None:
         r = len(a_arrays)
-    out = []
-    for k in range(1, r + 1):
-        acc = None
-        for term in product_terms(k):
-            factors = [b_arrays[len(block) - 1] for block in term]
-            val = eval_term(a_arrays[len(term) - 1], factors, term)
-            acc = val if acc is None else acc + val
-        out.append(acc)
-    return out
+    return [_order_k(a_arrays, b_arrays, k) for k in range(1, r + 1)]
 
 
 def compose_right_derivative(a_arrays, b_arrays, db_arrays, r: int | None = None):
     """Directional derivative of compose_tensors in its right argument."""
     if r is None:
         r = len(a_arrays)
-    out = []
-    for k in range(1, r + 1):
-        acc = None
-        for term in product_terms(k):
-            for t in range(len(term)):
-                factors = [
-                    (db_arrays if s == t else b_arrays)[len(block) - 1]
-                    for s, block in enumerate(term)
-                ]
-                val = eval_term(a_arrays[len(term) - 1], factors, term)
-                acc = val if acc is None else acc + val
-        out.append(acc)
-    return out
+    return [_order_k(a_arrays, b_arrays, k, db_arrays) for k in range(1, r + 1)]
 
 
-def group_translation_apply(u_arrays, y_arrays, k: int) -> np.ndarray:
-    """Order-k component of the derivative at the identity of g ↦ u·g.
-
-    Only terms whose blocks are all singletons except (at most) the
-    perturbed one survive at g = identity, since identity tensors vanish
-    for orders >= 2.
-    """
-    n = u_arrays[0].shape[0]
-    eye = np.eye(n, dtype=np.result_type(u_arrays[0], y_arrays[0]))
-    acc = None
-    for term in product_terms(k):
-        big = [t for t, block in enumerate(term) if len(block) > 1]
-        if len(big) > 1:
-            continue
-        slots = big if big else range(len(term))
-        for p in slots:
-            factors = [
-                y_arrays[len(block) - 1] if t == p else eye
-                for t, block in enumerate(term)
-            ]
-            val = eval_term(u_arrays[len(term) - 1], factors, term)
-            acc = val if acc is None else acc + val
-    return acc
-
-
-def frame_translation_apply(u_arrays, y0, y_arrays, k_max: int):
-    """Right-translation derivative including base displacement.
-
-    Returns (δbase, [δ-tensor of order k for k = 1..k_max]); the base
-    displacement feeds each order-k slot through the order-(k+1) tensor.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    d_base = u_arrays[0] @ y0
-    d_tensors = []
-    for k in range(1, k_max + 1):
-        val = np.tensordot(u_arrays[k], y0, axes=([-1], [0]))
-        val = val + group_translation_apply(u_arrays, y_arrays, k)
-        d_tensors.append(val)
-    return d_base, d_tensors
+def identity_arrays(n: int, r: int, *like) -> list:
+    """Tensors 1..r of the identity jet, in the result type of float and `like`."""
+    dtype = np.result_type(float, *like)
+    return [np.eye(n, dtype=dtype)] + [np.zeros((n,) * (k + 1), dtype) for k in range(2, r + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +292,7 @@ class ClassicalJet:
 
 
 def jet_identity(n: int, r: int) -> JetGroupElement:
-    arrays = [np.eye(n)] + [np.zeros((n,) * (k + 1)) for k in range(2, r + 1)]
-    return JetGroupElement.from_arrays(arrays)
+    return JetGroupElement.from_arrays(identity_arrays(n, r))
 
 
 def _check_same(a, b):
@@ -341,21 +310,15 @@ def jet_compose(a: JetGroupElement, b: JetGroupElement) -> JetGroupElement:
 def jet_inverse(a: JetGroupElement) -> JetGroupElement:
     """Solve a·b = identity order by order.
 
-    The only order-k term containing b[k] is a[1]·b[k]; everything else
-    involves b-tensors of lower order only.
+    The only order-k term containing b[k] is a[1]·b[k], so with b[k] = 0 the
+    order-k product holds everything else: b[k] = −(a[1])⁻¹ · that.
     """
     arrs = a.arrays
-    n = a.n
     inv1 = np.linalg.inv(arrs[0])
     b = [inv1]
     for k in range(2, a.r + 1):
-        acc = np.zeros((n,) * (k + 1))
-        for term in product_terms(k):
-            if len(term) == 1:  # the a[1]·b[k] term being solved for
-                continue
-            factors = [b[len(block) - 1] for block in term]
-            acc = acc + eval_term(arrs[len(term) - 1], factors, term)
-        b.append(-np.einsum("ia,a...->i...", inv1, acc))
+        rest = _order_k(arrs, b + [np.zeros((a.n,) * (k + 1))], k)
+        b.append(-np.einsum("ia,a...->i...", inv1, rest))
     return JetGroupElement.from_arrays(b)
 
 
@@ -380,16 +343,22 @@ def adjoint_action(a: JetGroupElement, X: JetAlgebraElement) -> JetAlgebraElemen
 
     Computed as the right-translation pushforward (by a, one order down) of
     the left-translation derivative of a⁻¹ applied to X — the exact bilinear
-    expansion of the product through both factors.
+    expansion of the product through both factors.  The base displacement
+    y0 feeds order k through a⁻¹[k+1]·y0, the tensors through the right
+    derivative at the identity.
     """
     if X.n != a.n or X.r != a.r:
         raise ShapeMismatchError("adjoint: algebra element has mismatched shape")
     ainv = jet_inverse(a).arrays
-    y0 = X.arrays[0]
-    y_tensors = X.arrays[1:]
-    d_base, d_tensors = frame_translation_apply(ainv, y0, y_tensors, a.r - 1)
+    y0, *y = X.arrays
+    d_base = ainv[0] @ y0
     if a.r == 1:
         return JetAlgebraElement.from_arrays([d_base])
+    moved = compose_right_derivative(ainv, identity_arrays(a.n, a.r - 1), y, a.r - 1)
+    d_tensors = [
+        np.tensordot(ainv[k], y0, axes=([-1], [0])) + m
+        for k, m in enumerate(moved, start=1)
+    ]
     pushed = compose_tensors(d_tensors, a.arrays[: a.r - 1])
     return JetAlgebraElement.from_arrays([d_base] + pushed)
 

@@ -30,6 +30,22 @@ def _reduce_by_fields(obj):
     return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
+def _same_value(x, y) -> bool:
+    """Equality that compares arrays, also as dict values, entry by entry."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_same_value(x[key], y[key]) for key in x)
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return bool(np.array_equal(x, y))
+    return x == y
+
+
+def _eq_by_fields(obj, other) -> bool:
+    """Value equality of a frozen dataclass, field by field."""
+    return isinstance(other, type(obj)) and all(
+        _same_value(getattr(obj, f.name), getattr(other, f.name)) for f in fields(obj)
+    )
+
+
 class ShapeMismatchError(ValueError):
     """Operands do not share compatible (n, k) or (n, r)."""
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from conftest import gap
@@ -307,3 +309,45 @@ def test_deformation_pair_json_roundtrip():
     p = [0.1, -0.2]
     assert gap(back.theta("c0").evaluate(p), pair.theta("c0").evaluate(p)) < 1e-15
     assert gap(back.mu("c1").evaluate(p), pair.mu("c1").evaluate(p)) < 1e-15
+
+
+def value_objects():
+    """One instance of each array-holding value class of this module, with a perturbed twin."""
+    rng = np.random.default_rng(31)
+    A, X = rng.normal(size=(2, 2)) + 2 * np.eye(2), rng.normal(size=(2, 2))
+    coeffs = {(0, 0): rng.uniform(-1, 1, (2, 2)), (1, 0): rng.uniform(-1, 1, (2, 2))}
+    s = rand_pair_point(rng, 2)
+    return [
+        (TangentGroupElement(A, X), TangentGroupElement(A, X + 1.0)),
+        (TangentAlgebraElement(A, X), TangentAlgebraElement(A + 1.0, X)),
+        (s, GarciaPairPoint(s.n, s.x, s.a, s.b, s.a2, s.b2 + 1.0)),
+        (PolyField(2, (2, 2), coeffs), PolyField(2, (2, 2), {(0, 0): coeffs[(0, 0)]})),
+    ]
+
+
+@pytest.mark.parametrize(
+    "obj, other", value_objects(),
+    ids=["TangentGroupElement", "TangentAlgebraElement", "GarciaPairPoint", "PolyField"],
+)
+def test_value_classes_compare_by_value_and_pickle_read_only(obj, other):
+    back = pickle.loads(pickle.dumps(obj))
+    assert back == obj and obj == back
+    assert obj != other and other != obj
+    assert obj != 0
+    arrays = [v for v in vars(back).values() if isinstance(v, np.ndarray)]
+    arrays += list(getattr(back, "coeffs", {}).values())
+    assert arrays and not any(arr.flags.writeable for arr in arrays)
+
+
+def test_garcia_pair_point_copies_its_inputs():
+    rng = np.random.default_rng(32)
+    x, a, b, a2, b2 = (
+        rng.uniform(-1, 1, shape) for shape in (2, (2, 2), (2, 2), (2,) * 3, (2,) * 3)
+    )
+    a += 2 * np.eye(2)
+    s = GarciaPairPoint(2, x, a, b, a2, b2)
+    kept = pickle.loads(pickle.dumps(s))
+    for arr in (x, a, b, a2, b2):
+        arr[0] = 5.0
+    assert s == kept
+    assert all(arr.flags.writeable for arr in (x, a, b, a2, b2))

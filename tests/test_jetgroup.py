@@ -24,7 +24,7 @@ from formalframes import (
 from formalframes.jetgroup import (
     compose_right_derivative,
     compose_tensors,
-    group_translation_apply,
+    identity_arrays,
 )
 from formalframes.oracles import closed_form_compose, taylor_map_compose
 
@@ -295,11 +295,27 @@ def test_right_derivative_is_exact_on_fractions(n, r):
 def test_group_translation_is_exact_on_fractions(n, r):
     rng = np.random.default_rng([n, r, 1])
     u, y = fraction_jet(rng, n, r), fraction_jet(rng, n, r)
-    identity = [np.eye(n, dtype=int) + 0 * y[0]] + [0 * x for x in y[1:]]  # Fractions
+    identity = identity_arrays(n, r, y[0])
+    assert all(arr.dtype == object for arr in identity)
+    got = compose_right_derivative(u, identity, y)
     want = stencil_derivative(
         lambda t: compose_tensors(u, [e + t * x for e, x in zip(identity, y)])
     )
-    for k in range(1, r + 1):
-        got = group_translation_apply(u, y, k)
-        assert all_fractions([got])
-        assert np.array_equal(got, want[k - 1])
+    assert all_fractions(got)
+    assert all(np.array_equal(x, w) for x, w in zip(got, want))
+
+
+def test_identity_factors_give_exact_results():
+    """Terms with an all-zero factor are skipped; what is left is exact."""
+    rng = np.random.default_rng(5)
+    for n, r in [(1, 3), (2, 4), (3, 3)]:
+        a = rand_group(rng, n, r).arrays
+        e = identity_arrays(n, r)
+        for got in (compose_tensors(a, e), compose_tensors(e, a)):
+            assert all(np.array_equal(x, y) for x, y in zip(got, a))
+        assert all(np.array_equal(x, y) for x, y in zip(jet_inverse(jet_identity(n, r)).arrays, e))
+        zero = compose_right_derivative(a, a, [np.zeros_like(x) for x in a])
+        assert all(x.dtype == float and not x.any() for x in zero)
+    u = fraction_jet(np.random.default_rng(6), 2, 3)
+    zero = compose_right_derivative(u, u, [0 * x for x in u])  # every term skipped
+    assert all_fractions(zero) and not any(x.any() for x in zero)

@@ -156,3 +156,42 @@ def test_taylor_route_shares_no_code_with_the_engine():
     for engine in ("jetgroup", "bundle", "forms"):
         assert imports[engine].isdisjoint({"taylor", "oracles"}), engine
     assert imports["taylor"].isdisjoint({"jetgroup", "bundle", "forms"})
+
+
+def product_terms_loops(source: str):
+    """Functions that loop over ``product_terms(...)``, in a for or a comprehension.
+
+    ``product_terms`` building order k from order k-1 is its own recursion and
+    does not count.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name == "product_terms":
+            continue
+        loops = [n.iter for n in ast.walk(node) if isinstance(n, (ast.For, ast.comprehension))]
+        calls = [n.func for it in loops for n in ast.walk(it) if isinstance(n, ast.Call)]
+        if any(getattr(f, "id", getattr(f, "attr", None)) == "product_terms" for f in calls):
+            found.append(node.name)
+    return sorted(found)
+
+
+def test_product_terms_loop_scan_finds_every_form():
+    source = (
+        "def product_terms(k):\n    return [t for t in product_terms(k - 1)]\n"
+        "def a(k):\n    for t in product_terms(k):\n        pass\n"
+        "def b(k):\n    return [t for t in jetgroup.product_terms(k)]\n"
+        "def c(k):\n    return {t: 1 for t in enumerate(product_terms(k))}\n"
+        "def d(k):\n    terms = product_terms(k)\n    return len(terms)\n"
+    )
+    assert product_terms_loops(source) == ["a", "b", "c"]
+
+
+def test_one_function_loops_over_the_product_terms():
+    """Product, right derivative, inverse, translation and adjoint share one evaluator."""
+    found = {
+        path.name: product_terms_loops(path.read_text())
+        for path in sorted(Path(formalframes.__file__).parent.glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {"jetgroup.py": ["_order_k"]}
