@@ -2,8 +2,8 @@
 
 Subcommands operate on small JSON documents (files or stdin) and print
 JSON to stdout (or ``--output``); diagnostics go to stderr only.  Exit
-codes: 0 success, 1 a checked property failed, 2 malformed input, 3 a
-numerical singularity (non-invertible data).
+codes: 0 success, 1 a checked property failed, 2 malformed input or an
+unwritable ``--output``, 3 a numerical singularity (non-invertible data).
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .charts import SmoothMapSpec, transition_jet
 from .forms import RealizabilityDisagreement, realizability_check, schwarzian
 from .jetgroup import JetGroupElement, jet_compose, jet_inverse, kappa_project
 from .tensors import ShapeMismatchError, SingularityError
-from .verify import VerifyConfig, rand_frame, run_suites
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -29,8 +28,11 @@ EXIT_SINGULAR = 3
 def _dump(doc, args) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ShapeMismatchError(f"cannot write output document: {exc}") from exc
     else:
         print(text)
 
@@ -62,10 +64,11 @@ def cmd_torsion(args) -> int:
         }, args)
         return EXIT_OK
     # sampling mode: alternate symmetric and generic random frames
-    trials = args.trials or 50
+    from .verify import rand_frame
+
     rng = np.random.default_rng([args.seed, 0])
     verdicts = []
-    for i in range(trials):
+    for i in range(args.trials):
         frame = rand_frame(rng, args.n, args.r, classical=i % 2 == 0)
         res = realizability_check(frame, tol=args.atol)
         verdicts.append({
@@ -75,7 +78,7 @@ def cmd_torsion(args) -> int:
             "max_asymmetry": res["max_asymmetry"],
         })
     _dump({
-        "config": {"seed": args.seed, "trials": trials, "n": args.n, "r": args.r,
+        "config": {"seed": args.seed, "trials": args.trials, "n": args.n, "r": args.r,
                    "atol": args.atol},
         "verdicts": verdicts,
     }, args)
@@ -120,9 +123,11 @@ def cmd_schwarzian(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import VerifyConfig, run_suites
+
     cfg = VerifyConfig(
         seed=args.seed,
-        trials=args.trials or 50,
+        trials=args.trials,
         max_n=args.n,
         max_r=args.r,
         atol=args.atol,
@@ -138,6 +143,17 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _positive(text: str) -> int:
+    """Type of --trials, --n and --r: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--n", type=int, default=2, help="base dimension")
-        p.add_argument("--r", type=int, default=3, help="jet order")
+        p.add_argument("--trials", type=_positive, default=50)
+        p.add_argument("--n", type=_positive, default=2, help="base dimension")
+        p.add_argument("--r", type=_positive, default=3, help="jet order")
         p.add_argument("--atol", type=float, default=1e-8)
         p.add_argument("--rtol", type=float, default=1e-8)
         p.add_argument("--input", default=None, metavar="FILE")

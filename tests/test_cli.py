@@ -146,3 +146,28 @@ def test_non_finite_input_exits_2(tmp_path, bad):
     res = run_cli("invert", stdin=json.dumps(element_json([[2.0]], [[[bad]]])))
     assert res.returncode == 2, res.stderr
     assert "non-finite" in res.stderr
+
+
+@pytest.mark.parametrize("option", ["--trials", "--n", "--r"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_counts_below_one_are_rejected(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["torsion", option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: expected an integer of at least 1" in capsys.readouterr().err
+
+
+def test_trials_default_to_50(tmp_path):
+    path = tmp_path / "verdicts.json"
+    assert main(["torsion", "--output", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["config"]["trials"] == len(doc["verdicts"]) == 50
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    doc = {"a": element_json([[2.0]], [[[3.0]]]), "b": element_json([[5.0]], [[[7.0]]])}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    target = tmp_path / "missing" / "out.json"
+    assert main(["compose", "--input", str(path), "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output document")

@@ -1,5 +1,6 @@
 """Smoke test of the benchmark harness and the package internals it reads."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,24 @@ def test_traced_frame_forms_run_is_correct():
     assert done.returncode == 0, done.stderr
     last = json.loads(done.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
+
+
+def test_traced_cli_child_runs_the_readme_compose(tmp_path):
+    # perfbench/cli_traced.py wraps jetgroup, bundle and forms right after
+    # importing formalframes.cli, so the CLI module must have loaded them
+    doc = {"a": {"n": 1, "r": 2, "tensors": [{"n": 1, "k": 1, "entries": [2.0]},
+                                             {"n": 1, "k": 2, "entries": [3.0]}]},
+           "b": {"n": 1, "r": 2, "tensors": [{"n": 1, "k": 1, "entries": [5.0]},
+                                             {"n": 1, "k": 2, "entries": [7.0]}]}}
+    summary = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PERFBENCH_TRACE_OUT=str(summary))
+    done = subprocess.run([sys.executable, "perfbench/cli_traced.py", "compose"], cwd=ROOT,
+                          input=json.dumps(doc), capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [t["entries"] for t in json.loads(done.stdout)["tensors"]] == [[10.0], [89.0]]
+    einsum = json.loads(summary.read_text())["einsum"]
+    assert sum(n for layer, *_, n in einsum if layer == "jetgroup") > 0
 
 
 def test_internals_read_by_the_tracer_and_warmer(monkeypatch):
