@@ -156,6 +156,17 @@ def _positive(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """Type of --atol and --rtol: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formalframes",
@@ -177,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=_positive, default=50)
         p.add_argument("--n", type=_positive, default=2, help="base dimension")
         p.add_argument("--r", type=_positive, default=3, help="jet order")
-        p.add_argument("--atol", type=float, default=1e-8)
-        p.add_argument("--rtol", type=float, default=1e-8)
+        p.add_argument("--atol", type=_tolerance, default=1e-8)
+        p.add_argument("--rtol", type=_tolerance, default=1e-8)
         p.add_argument("--input", default=None, metavar="FILE")
         p.add_argument("--output", default=None, metavar="FILE")
     return parser

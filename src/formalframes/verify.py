@@ -2,11 +2,14 @@
 
 Each suite draws its own deterministic generator from the configured seed,
 runs a fixed number of random trials, and reports the worst residual seen
-against its tolerance.  The CLI front end serializes the aggregate report;
-identical configurations produce identical reports.
+against its tolerance: a suite passes when the largest ``max|got − want|``
+over all its checks is at most ``atol``, and a NaN or an exception fails it.
+The CLI front end serializes the aggregate report; identical configurations
+produce identical reports.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +88,11 @@ class VerifyConfig:
     rtol: float = 1e-8
 
     def __post_init__(self):
-        if self.trials < 1 or not (1 <= self.max_n <= 3) or not (1 <= self.max_r <= 4):
-            raise ValueError("config outside the supported desk scale")
+        if self.trials < 1 or not (1 <= self.max_n <= 3) or not (2 <= self.max_r <= 4):
+            raise ValueError("config outside the supported desk scale: "
+                             "trials >= 1, max_n 1-3, max_r 2-4")
+        if not all(0 <= tol < math.inf for tol in (self.atol, self.rtol)):
+            raise ValueError("atol and rtol must be finite and at least 0")
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +149,27 @@ def rand_christoffel(rng, n):
     return ChristoffelField(n, PolyField(n, (n, n, n), coeffs))
 
 
-def _gap(x, y):
-    return float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) if np.size(x) else 0.0
+class _Worst:
+    """The verdict of one suite: the largest residual over all its checks.
+
+    ``check(got, want)`` records ``max|got − want|`` in float64, 0.0 for an
+    empty array.  Lists and tuples are compared entry by entry; arrays must
+    have equal shapes.  A NaN residual is recorded as inf, so it fails.
+    """
+
+    def __init__(self):
+        self.value = 0.0
+
+    def __call__(self, got, want):
+        if isinstance(got, (list, tuple)):
+            for x, y in zip(got, want, strict=True):
+                self(x, y)
+            return
+        got, want = np.asarray(got), np.asarray(want)
+        if got.shape != want.shape:
+            raise ValueError(f"residual of shapes {got.shape} and {want.shape}")
+        gap = float(np.max(np.abs(got - want))) if got.size else 0.0
+        self.value = max(self.value, math.inf if math.isnan(gap) else gap)
 
 
 def _pick(rng, cfg, r_min=1):
@@ -158,47 +183,38 @@ def _pick(rng, cfg, r_min=1):
 
 
 def suite_group_laws(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     for _ in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
         a, b, c = (rand_group(rng, n, r) for _ in range(3))
-        worst = max(worst, _gap(
-            jet_compose(jet_compose(a, b), c).arrays[-1],
-            jet_compose(a, jet_compose(b, c)).arrays[-1],
-        ))
+        check(jet_compose(jet_compose(a, b), c).arrays[-1],
+              jet_compose(a, jet_compose(b, c)).arrays[-1])
         e = jet_identity(n, r)
-        worst = max(worst, _gap(jet_compose(a, e).arrays[-1], a.arrays[-1]))
-        worst = max(worst, _gap(
-            jet_compose(a, jet_inverse(a)).arrays[0], np.eye(n)
-        ))
+        check(jet_compose(a, e).arrays[-1], a.arrays[-1])
+        check(jet_compose(a, jet_inverse(a)).arrays[0], np.eye(n))
         if r <= 3:
-            cf = closed_form_compose(a.arrays, b.arrays, r)
-            worst = max(worst, max(_gap(x, y) for x, y in zip(jet_compose(a, b).arrays, cf)))
+            check(jet_compose(a, b).arrays, closed_form_compose(a.arrays, b.arrays, r))
         sa, sb = rand_classical(rng, n, r), rand_classical(rng, n, r)
         oracle = taylor_map_compose(sa.arrays, sb.arrays, r)
-        got = jet_compose(epsilon_embed(sa), epsilon_embed(sb)).arrays
-        worst = max(worst, max(_gap(x, y) for x, y in zip(got, oracle)))
-    return worst
+        check(jet_compose(epsilon_embed(sa), epsilon_embed(sb)).arrays, oracle)
+    return check.value
 
 
 def suite_symmetrization(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     for _ in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
         s = rand_classical(rng, n, r)
-        back = kappa_project(epsilon_embed(s))
-        worst = max(worst, max(_gap(x, y) for x, y in zip(back.arrays, s.arrays)))
+        check(kappa_project(epsilon_embed(s)).arrays, s.arrays)
         ok, _w = is_classical(epsilon_embed(s))
-        worst = max(worst, 0.0 if ok else 1.0)
+        check(float(not ok), 0.0)
         s2 = rand_classical(rng, n, r)
-        got = classical_compose(s, s2).arrays
-        oracle = taylor_map_compose(s.arrays, s2.arrays, r)
-        worst = max(worst, max(_gap(x, y) for x, y in zip(got, oracle)))
-    return worst
+        check(classical_compose(s, s2).arrays, taylor_map_compose(s.arrays, s2.arrays, r))
+    return check.value
 
 
 def suite_canonical_form(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     for _ in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
         u = rand_frame(rng, n, r)
@@ -206,81 +222,70 @@ def suite_canonical_form(rng, cfg):
         a = rand_group(rng, n, r)
         # equivariance: θ after acting by a = derivative of g ↦ a⁻¹ga on θ
         lhs = canonical_form(right_action(u, a), right_action_pushforward(u, a, X))
-        rhs = adjoint_action(a, canonical_form(u, X))
-        worst = max(worst, max(_gap(x, y) for x, y in zip(lhs.arrays, rhs.arrays)))
+        check(lhs.arrays, adjoint_action(a, canonical_form(u, X)).arrays)
         # naturality under chart changes
         spec = _rand_poly_map(rng, n)
         T = transition_jet(spec, u.base, r + 1)
-        lhs2 = canonical_form(
-            change_chart(u, T), change_chart_pushforward(u, T, X)
-        )
-        rhs2 = canonical_form(u, X)
-        worst = max(worst, max(_gap(x, y) for x, y in zip(lhs2.arrays, rhs2.arrays)))
+        lhs2 = canonical_form(change_chart(u, T), change_chart_pushforward(u, T, X))
+        check(lhs2.arrays, canonical_form(u, X).arrays)
         # fundamental vectors reproduce their generators (top order is
         # dropped by the one-order-down canonical form)
         Y = [rng.uniform(-1, 1, (n,) * (k + 1)) for k in range(1, r + 1)]
         theta = canonical_form(u, fundamental_vector(u, Y))
-        worst = max(worst, _gap(theta.arrays[0], np.zeros(n)))
-        worst = max(
-            worst, max(_gap(x, y) for x, y in zip(theta.arrays[1:], Y[: r - 1]))
-        )
-    return worst
+        check(theta.arrays[0], np.zeros(n))
+        check(theta.arrays[1:], Y[: r - 1])
+    return check.value
 
 
 def suite_torsion_characterization(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     for trial in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
         classical = trial % 2 == 0
         u = rand_frame(rng, n, r, classical=classical)
         res = realizability_check(u, tol=cfg.atol)  # raises on disagreement
         if classical:
-            worst = max(worst, res["max_torsion"])
+            check(res["max_torsion"], 0.0)
         # explicit first-torsion formula: v u² v du ∧ v du on base pairs
         calc = FrameCalculus(u)
         v = np.linalg.inv(u.arrays[0])
         u2 = u.arrays[1]
         W = np.einsum("iab,aA,bB->iAB", u2, v, v)
         explicit = np.einsum("ia,ajk->ijk", v, W - np.swapaxes(W, -1, -2))
-        got = calc.base_torsion_table(TorsionType(1))
-        worst = max(worst, _gap(got, explicit))
-    return worst
+        check(calc.base_torsion_table(TorsionType(1)), explicit)
+    return check.value
 
 
 def suite_structural_equations(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     for _ in range(cfg.trials):
         n, r = _pick(rng, cfg, r_min=2)
         u = rand_frame(rng, n, r, classical=True)
-        calc = FrameCalculus(u)
-        mt, _w = calc.max_torsion()
-        worst = max(worst, mt)
-    return worst
+        mt, _w = FrameCalculus(u).max_torsion()
+        check(mt, 0.0)
+    return check.value
 
 
 def suite_garcia(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     for _ in range(cfg.trials):
         n = int(rng.integers(1, cfg.max_n + 1))
         u = rand_frame(rng, n, 2)
         g = phi_map(u)
-        back = psi_map(g)
-        worst = max(worst, max(_gap(x, y) for x, y in zip(u.arrays, back.arrays)))
+        check(u.arrays, psi_map(g).arrays)
         a = rand_group(rng, n, 2)
         moved = garcia_action(g, a, cross_check=True, tol=cfg.atol)
         frame_side = phi_map(right_action(u, a))
-        worst = max(worst, _gap(moved.y, frame_side.y))
-        worst = max(worst, _gap(moved.z.entries, frame_side.z.entries))
+        check(moved.y, frame_side.y)
+        check(moved.z.entries, frame_side.z.entries)
         X = rand_tangent(rng, n, 2)
         dx, dy, _dz = phi_pushforward(u, X)
-        worst = max(worst, _gap(
-            garcia_canonical_form(g, dx, dy), canonical_form(u, X).arrays[1]
-        ))
-    return worst
+        check(garcia_canonical_form(g, dx, dy), canonical_form(u, X).arrays[1])
+    return check.value
 
 
 def suite_connection(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     for _ in range(cfg.trials):
         n = int(rng.integers(1, cfg.max_n + 1))
         gf = rand_christoffel(rng, n)
@@ -288,21 +293,17 @@ def suite_connection(rng, cfg):
         amat = rand_linear(rng, n)
         a1 = JetGroupElement.from_arrays([amat])
         a2 = JetGroupElement.from_arrays([amat, np.zeros((n, n, n))])
-        worst = max(worst, _gap(
-            connection_section(gf, right_action(u, a1)).arrays[1],
-            right_action(connection_section(gf, u), a2).arrays[1],
-        ))
+        check(connection_section(gf, right_action(u, a1)).arrays[1],
+              right_action(connection_section(gf, u), a2).arrays[1])
         Xm = rng.uniform(-1, 1, (n, n))
-        worst = max(worst, _gap(
-            section_pullback_connection(gf, u, fundamental_vector(u, [Xm])), Xm
-        ))
+        check(section_pullback_connection(gf, u, fundamental_vector(u, [Xm])), Xm)
         X = rand_tangent(rng, n, 1)
-        worst = max(worst, _gap(
+        check(
             section_pullback_connection(
                 gf, right_action(u, a1), right_action_pushforward(u, a1, X)
             ),
             np.linalg.inv(amat) @ section_pullback_connection(gf, u, X) @ amat,
-        ))
+        )
         # transformation-law cocycle over a composite transition
         f1, f2 = _rand_poly_map(rng, n), _rand_poly_map(rng, n)
         p = rng.uniform(-0.3, 0.3, n)
@@ -310,49 +311,37 @@ def suite_connection(rng, cfg):
         T1 = transition_jet(f1, p, 2)
         T2 = transition_jet(f2, T1.value, 2)
         Tc = transition_jet(SmoothMapSpec.composite(f1, f2), p, 2)
-        worst = max(worst, _gap(
-            christoffel_transform(christoffel_transform(gamma, T1), T2),
-            christoffel_transform(gamma, Tc),
-        ))
-    return worst
+        check(christoffel_transform(christoffel_transform(gamma, T1), T2),
+              christoffel_transform(gamma, Tc))
+    return check.value
 
 
 def suite_deform(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     for _ in range(cfg.trials):
         n = int(rng.integers(1, cfg.max_n + 1))
         P = TangentGroupElement(rand_linear(rng, n), rng.uniform(-1, 1, (n, n)))
         Q = TangentGroupElement(rand_linear(rng, n), rng.uniform(-1, 1, (n, n)))
-        worst = max(worst, _gap(
-            tg_compose(P, Q).matrix_rep(), P.matrix_rep() @ Q.matrix_rep()
-        ))
+        check(tg_compose(P, Q).matrix_rep(), P.matrix_rep() @ Q.matrix_rep())
         U = TangentAlgebraElement(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, n)))
         V = TangentAlgebraElement(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, n)))
-        worst = max(worst, _gap(
-            tg_bracket(U, V).matrix_rep(),
-            U.matrix_rep() @ V.matrix_rep() - V.matrix_rep() @ U.matrix_rep(),
-        ))
-        worst = max(worst, _gap(
-            tg_adjoint(P, V).matrix_rep(),
-            P.matrix_rep() @ V.matrix_rep() @ np.linalg.inv(P.matrix_rep()),
-        ))
+        check(tg_bracket(U, V).matrix_rep(),
+              U.matrix_rep() @ V.matrix_rep() - V.matrix_rep() @ U.matrix_rep())
+        check(tg_adjoint(P, V).matrix_rep(),
+              P.matrix_rep() @ V.matrix_rep() @ np.linalg.inv(P.matrix_rep()))
         gf = rand_christoffel(rng, n)
         spec = _rand_poly_map(rng, n)
         p = rng.uniform(-0.3, 0.3, n)
         T = transition_jet(spec, p, 2)
-        worst = max(worst, _gap(
-            lift_block_identity(gf, T, rng.uniform(-1, 1, n)), 0.0 * np.eye(2 * n)
-        ))
+        check(lift_block_identity(gf, T, rng.uniform(-1, 1, n)), np.zeros((2 * n, 2 * n)))
         Xf = PolyField(
             n, (n,),
             {exp: rng.uniform(-1, 1, n)
              for exp in [(0,) * n]
              + [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]},
         )
-        worst = max(worst, _gap(
-            covariant_derivative_residual(gf, Xf, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
-            np.zeros(n),
-        ))
+        check(covariant_derivative_residual(gf, Xf, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
+              np.zeros(n))
         s = GarciaPairPoint(
             n, rng.uniform(-1, 1, n), rand_linear(rng, n), rng.uniform(-1, 1, (n, n)),
             rng.uniform(-1, 1, (n, n, n)), rng.uniform(-1, 1, (n, n, n)),
@@ -360,8 +349,8 @@ def suite_deform(rng, cfg):
         g, X = rand_linear(rng, n), rng.uniform(-1, 1, (n, n))
         lf, lp = deform_frame_iso(garcia_pair_action(s, g, X))
         rf, rp = frame_pair_action(*deform_frame_iso(s), g, X)
-        worst = max(worst, _gap(lf.arrays[1], rf.arrays[1]))
-        worst = max(worst, max(_gap(lp[0], rp[0]), _gap(lp[1], rp[1])))
+        check(lf.arrays[1], rf.arrays[1])
+        check(lp, rp)
         # 2-tangent transition cocycle
         f1, f2 = _rand_poly_map(rng, n), _rand_poly_map(rng, n)
         x = rng.uniform(-0.3, 0.3, n)
@@ -370,9 +359,8 @@ def suite_deform(rng, cfg):
         mid = t2m_transition(c, T1)
         T2 = transition_jet(f2, mid[0], 2)
         two_step = t2m_transition(mid, T2)
-        direct = t2m_transition(c, transition_jet(SmoothMapSpec.composite(f1, f2), x, 2))
-        worst = max(worst, max(_gap(x1, x2) for x1, x2 in zip(two_step, direct)))
-    return worst
+        check(two_step, t2m_transition(c, transition_jet(SmoothMapSpec.composite(f1, f2), x, 2)))
+    return check.value
 
 
 def suite_deformation_pair(rng, cfg):
@@ -427,11 +415,14 @@ def suite_deformation_pair(rng, cfg):
     report = check_deformation_pair(
         pair, [("c0", "c1", t01), ("c0", "c2", t02), ("c1", "c2", t12)], pts
     )
-    return max(report["max_theta_residual"], report["max_mu_residual"])
+    check = _Worst()
+    check(report["max_theta_residual"], 0.0)
+    check(report["max_mu_residual"], 0.0)
+    return check.value
 
 
 def suite_schwarzian(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     for _ in range(cfg.trials):
         while True:
             a, b, c, d = rng.uniform(-2, 2, 4)
@@ -442,7 +433,7 @@ def suite_schwarzian(rng, cfg):
         if abs(c * x + d) < 0.2:
             continue
         T = transition_jet(mo, [x], 3)
-        worst = max(worst, abs(schwarzian([t.reshape(()) for t in T.arrays])))
+        check(schwarzian([t.reshape(()) for t in T.arrays]), 0.0)
         # cocycle S(phi∘f)(x) = S(phi)(f(x)) f'(x)^2 + S(f)(x)
         f = SmoothMapSpec.polynomial_1d([0.0, float(rng.uniform(1.0, 2.0)),
                                          float(rng.uniform(-0.3, 0.3)),
@@ -459,12 +450,12 @@ def suite_schwarzian(rng, cfg):
             schwarzian([t.reshape(()) for t in Tphi.arrays]) * fp ** 2
             + schwarzian([t.reshape(()) for t in Tf.arrays])
         )
-        worst = max(worst, abs(s_comp - s_law))
-    return worst
+        check(s_comp, s_law)
+    return check.value
 
 
 def suite_foliation(rng, cfg):
-    worst = 0.0
+    check = _Worst()
     leaf, q = 1, 1
     m = leaf + q
     for _ in range(cfg.trials):
@@ -475,10 +466,8 @@ def suite_foliation(rng, cfg):
             )
         })
         B = BottData(leaf, q, {"c0": tab})
-        worst = max(worst, _gap(
-            bott_residual(B, "c0", rng.uniform(-1, 1, m), rng.uniform(-1, 1, leaf)),
-            np.zeros((q, q)),
-        ))
+        check(bott_residual(B, "c0", rng.uniform(-1, 1, m), rng.uniform(-1, 1, leaf)),
+              np.zeros((q, q)))
         # transverse pushforward cocycle
         qd = int(rng.integers(1, min(cfg.max_n, 2) + 1))
         g1 = _rand_poly_map(rng, qd, scale=0.3)
@@ -487,7 +476,7 @@ def suite_foliation(rng, cfg):
         u = rand_frame(rng, qd, r)
         two = transverse_pushforward(transverse_pushforward(u, g1), g2)
         one = transverse_pushforward(u, SmoothMapSpec.composite(g1, g2))
-        worst = max(worst, max(_gap(x, y) for x, y in zip(two.arrays, one.arrays)))
+        check(two.arrays, one.arrays)
     # the valid/invalid transverse deformation example (dimension 2)
     omega = PolyField(2, (2, 2), {(0, 0): np.eye(2)})
     theta = PolyField.zero(2, (2, 2, 2))
@@ -498,17 +487,13 @@ def suite_foliation(rng, cfg):
     bad = PolyField(2, (2, 2, 2), {})
     for _ in range(cfg.trials):
         pt, X, Y = (rng.uniform(-1, 1, 2) for _ in range(3))
-        worst = max(worst, _gap(
-            deformation_equation_residual(omega, theta, od, td, pt, X, Y), np.zeros(2)
-        ))
+        check(deformation_equation_residual(omega, theta, od, td, pt, X, Y), np.zeros(2))
+    # the invalid example must be detected: its residual is far from zero
     X, Y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    invalid = _gap(
-        deformation_equation_residual(omega, theta, od, bad, np.zeros(2), X, Y),
-        np.zeros(2),
-    )
-    if invalid <= 1e-3:
-        worst = max(worst, 1.0)
-    return worst
+    invalid = _Worst()
+    invalid(deformation_equation_residual(omega, theta, od, bad, np.zeros(2), X, Y), np.zeros(2))
+    check(float(invalid.value <= 1e-3), 0.0)
+    return check.value
 
 
 SUITES = [

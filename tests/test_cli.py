@@ -171,3 +171,21 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "out.json"
     assert main(["compose", "--input", str(path), "--output", str(target)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write output document")
+
+
+@pytest.mark.parametrize("option", ["--atol", "--rtol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "tight"])
+def test_tolerances_must_be_finite_and_non_negative(option, value, tmp_path, capsys):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(FrameCoords.from_arrays(
+        [0.1, 0.2], [np.eye(2), np.zeros((2, 2, 2))]).to_json()))
+    for argv in (["verify", "--trials", "1"], ["torsion", "--input", str(frame)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: expected a finite number of at least 0" in capsys.readouterr().err
+
+
+def test_verify_below_order_two_is_a_configuration_error(capsys):
+    assert main(["verify", "--trials", "1", "--r", "1"]) == 2
+    assert "outside the supported desk scale" in capsys.readouterr().err
