@@ -7,12 +7,13 @@ with no numerical-differentiation noise.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jetgroup import ClassicalJet, JetGroupElement, epsilon_embed
-from .taylor import TaylorScalar, derivative_tensor
+from .taylor import TaylorScalar, compose_all, derivative_tensor, shift_all
 from .tensors import (
     LowerTensor, ShapeMismatchError, SingularityError, _eq_by_fields, _reduce_by_fields,
 )
@@ -62,6 +63,8 @@ class SmoothMapSpec:
         else:
             raise ShapeMismatchError(f"unknown map kind {self.kind!r}")
 
+    __reduce__ = _reduce_by_fields  # the cached _components stay behind
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -101,14 +104,7 @@ class SmoothMapSpec:
         if self.kind == "polynomial":
             # re-center at full degree before truncating, or derivatives at
             # p would be taken of an already-truncated polynomial
-            degree = max((sum(exp) for exp in self.coeffs), default=0)
-            degree = max(degree, order)
-            comps = []
-            for i in range(self.m_out):
-                coeffs = {exp: vals[i] for exp, vals in self.coeffs.items()}
-                poly = TaylorScalar(self.m_in, degree, coeffs)
-                comps.append(poly.shift_center(p).truncate(order))
-            return tuple(comps)
+            return tuple(f.truncate(order) for f in shift_all(self._components, p))
         if self.kind == "moebius":
             a, b, c, d = self.abcd
             x = float(p[0])
@@ -124,8 +120,15 @@ class SmoothMapSpec:
             values = np.array([f.coefficient((0,) * f.m) for f in comps])
             outer = stage.taylor_at(values, order)
             displaced = [f - float(v) for f, v in zip(comps, values)]
-            comps = tuple(f.compose(displaced) for f in outer)
+            comps = compose_all(outer, displaced)
         return comps
+
+    @functools.cached_property
+    def _components(self):
+        """A polynomial map's components as series at its own degree."""
+        degree = max((sum(exp) for exp in self.coeffs), default=0)
+        return tuple(TaylorScalar(self.m_in, degree, {e: v[i] for e, v in self.coeffs.items()})
+                     for i in range(self.m_out))
 
     def evaluate(self, p) -> np.ndarray:
         comps = self.taylor_at(p, 0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ EXIT_SINGULAR = 3
 
 
 def _dump(doc, args) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "))
+    text = json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -134,7 +135,9 @@ def cmd_verify(args) -> int:
         rtol=args.rtol,
     )
     report = run_suites(cfg)
-    _dump(report, args)
+    suites = [suite if math.isfinite(suite["worst_residual"]) else {**suite, "worst_residual": None}
+              for suite in report["suites"]]
+    _dump({**report, "suites": suites}, args)
     for suite in report["suites"]:
         status = "pass" if suite["passed"] else "FAIL"
         print(f"[{status}] {suite['suite']}: worst residual "

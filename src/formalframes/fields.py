@@ -7,6 +7,7 @@ tight tolerances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,12 @@ class PolyField:
                 clean[exp] = arr
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coeffs", clean)
+        # exponents and coefficient rows in coeffs order, for evaluate
+        powers = np.array(list(clean), dtype=np.intp).reshape(len(clean), self.m)
+        stack = np.reshape(list(clean.values()), (len(clean), math.prod(shape)))
+        for name, arr in (("_powers", powers), ("_stack", stack)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     __eq__ = _eq_by_fields
     __reduce__ = _reduce_by_fields
@@ -59,27 +66,26 @@ class PolyField:
         arrays of the given shape; the fit runs over all monomials of total
         degree <= degree and needs at least as many points as monomials.
         """
-        from .taylor import multi_indices
+        from .taylor import _basis
 
         shape = tuple(int(s) for s in shape)
-        exps = multi_indices(m, degree)
-        points = [np.asarray(p, dtype=float).reshape(m) for p in points]
-        if len(points) < len(exps):
+        basis = _basis(m, degree)
+        points = np.reshape([np.asarray(p, dtype=float).reshape(m) for p in points], (-1, m))
+        if len(points) < len(basis.exps):
             raise ShapeMismatchError("not enough sample points for the degree")
-        V = np.array(
-            [[float(np.prod(p ** np.array(e))) for e in exps] for p in points]
-        )
+        V = np.prod(points[:, None, :] ** basis.powers, axis=2)
         B = np.array([np.asarray(v, dtype=float).reshape(-1) for v in values])
         sol, *_ = np.linalg.lstsq(V, B, rcond=None)
-        coeffs = {e: sol[i].reshape(shape) for i, e in enumerate(exps)}
+        coeffs = {e: sol[i].reshape(shape) for i, e in enumerate(basis.exps)}
         return cls(m, shape, coeffs)
 
     def evaluate(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=float).reshape(self.m)
-        total = np.zeros(self.shape)
-        for exp, arr in self.coeffs.items():
-            total += arr * float(np.prod(point ** np.array(exp)))
-        return total
+        terms = self._stack * np.prod(point ** self._powers, axis=1)[:, None]
+        # 0 + t_0 + t_1 + …, one term after another in coeffs order; a reduce
+        # would add the terms of a one-entry shape pairwise
+        zero = np.zeros((1, terms.shape[1]))
+        return np.add.accumulate(np.concatenate([zero, terms]))[-1].reshape(self.shape)
 
     def partial(self, i: int) -> "PolyField":
         out = {}

@@ -53,12 +53,17 @@ def product_terms(k: int):
     return tuple(out)
 
 
-def eval_term(a_arr: np.ndarray, factor_arrs, term) -> np.ndarray:
-    """Contract the left tensor against one array per block of `term`."""
+@functools.lru_cache(maxsize=None)
+def _subscripts(term) -> str:
     k, m = sum(len(block) for block in term), len(term)
     out, con, up = _LETTERS[:k], _LETTERS[k:k + m], _LETTERS[k + m]
     subs = [up + con] + [con[t] + "".join(out[p] for p in block) for t, block in enumerate(term)]
-    return np.einsum(",".join(subs) + "->" + up + out, a_arr, *factor_arrs)
+    return ",".join(subs) + "->" + up + out
+
+
+def eval_term(a_arr: np.ndarray, factor_arrs, term) -> np.ndarray:
+    """Contract the left tensor against one array per block of `term`."""
+    return np.einsum(_subscripts(term), a_arr, *factor_arrs)
 
 
 def _order_k(a_arrays, b_arrays, k: int, db_arrays=None) -> np.ndarray:

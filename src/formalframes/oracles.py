@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .taylor import TaylorScalar, derivative_tensor, multi_indices
+from .taylor import TaylorScalar, compose_all, derivative_tensor, multi_indices
 from .tensors import ShapeMismatchError
 
 
@@ -76,5 +76,5 @@ def taylor_map_compose(a_arrays, b_arrays, r: int):
 
     f = as_polynomials(a_arrays)
     g = as_polynomials(b_arrays)
-    composed = [fi.compose(g) for fi in f]
+    composed = compose_all(f, g)
     return [derivative_tensor(composed, k) for k in range(1, r + 1)]

@@ -225,39 +225,7 @@ class TaylorScalar:
 
     def compose(self, inner: "list[TaylorScalar]") -> "TaylorScalar":
         """Substitute inner[i] for variable i (formal, then truncate)."""
-        if len(inner) != self.m:
-            raise ShapeMismatchError(f"need {self.m} inner series, got {len(inner)}")
-        m_out = inner[0].m
-        for g in inner:
-            if g.m != m_out or g.order != self.order:
-                raise ShapeMismatchError("truncation-order mismatch in compose")
-        return self._new(self._compose([g._v for g in inner], m_out), m=m_out)
-
-    def _compose(self, inner, m_out) -> np.ndarray:
-        """Σ_k v[k]·Π_i inner[i]^e_i over exps[k] = e, one term at a time.
-
-        Terms are added in graded order, the order in which polynomial maps
-        list their terms (constant, x_0, x_1, …, x_0², …), so each sum rounds
-        as the term-by-term expansion of the map does.
-        """
-        basis = _basis(self.m, self.order)
-        table = _product_table(m_out, self.order)
-        one = _unit(len(_basis(m_out, self.order).exps))
-        terms = basis.graded[self._v[basis.graded] != 0]
-        powers = []
-        for g, top in zip(inner, basis.powers[terms].max(axis=0, initial=0)):
-            ps = [one]
-            for _ in range(top):
-                ps.append(_mul(ps[-1], g, table))
-            powers.append(ps)
-        acc = np.zeros_like(one)
-        for k in terms:
-            factors = [powers[i][e] for i, e in enumerate(basis.exps[k]) if e]
-            term = self._v[k] * (factors[0] if factors else one)
-            for p in factors[1:]:
-                term = _mul(term, p, table)
-            acc = acc + term
-        return acc
+        return compose_all([self], inner)[0]
 
     # -- queries -----------------------------------------------------------
 
@@ -281,13 +249,55 @@ class TaylorScalar:
 
     def shift_center(self, point) -> "TaylorScalar":
         """Re-center: return self(point + t) as a series in t (exact)."""
-        point = np.asarray(point, dtype=float)
-        basis = _basis(self.m, self.order)
-        shifted = np.zeros((self.m, len(self._v)))
-        shifted[:, 0] = point
-        units = np.flatnonzero(basis.degree == 1)
-        shifted[basis.powers[units].argmax(axis=1), units] = 1.0
-        return self._new(self._compose(shifted, self.m))
+        return shift_all([self], point)[0]
+
+
+def compose_all(outer, inner) -> tuple:
+    """Substitute inner[i] for variable i in every outer series (formal, then truncate).
+
+    Each f becomes Σ_k f[k]·Π_i inner[i]^e_i over exps[k] = e, with the powers
+    of inner built once for all f.  Terms are added one at a time in graded
+    order, the order in which polynomial maps list their terms (constant,
+    x_0, x_1, …, x_0², …), so each sum rounds as the term-by-term expansion
+    of the map does; a term f lacks adds zeros, which leave its sum as it was.
+    """
+    m, order = outer[0].m, outer[0].order
+    if len(inner) != m:
+        raise ShapeMismatchError(f"need {m} inner series, got {len(inner)}")
+    m_out = inner[0].m
+    shapes = {(f.m, f.order) for f in outer}, {(g.m, g.order) for g in inner}
+    if shapes != ({(m, order)}, {(m_out, order)}):
+        raise ShapeMismatchError("truncation-order mismatch in compose")
+    basis = _basis(m, order)
+    table = _product_table(m_out, order)
+    one = _unit(len(_basis(m_out, order).exps))
+    rows = np.array([f._v for f in outer])
+    terms = basis.graded[rows[:, basis.graded].any(axis=0)]
+    powers = []
+    for g, top in zip(inner, basis.powers[terms].max(axis=0, initial=0)):
+        ps = [one]
+        for _ in range(top):
+            ps.append(_mul(ps[-1], g._v, table))
+        powers.append(ps)
+    acc = np.zeros((len(rows), len(one)))
+    for k in terms:
+        factors = [powers[i][e] for i, e in enumerate(basis.exps[k]) if e]
+        term = rows[:, k, None] * (factors[0] if factors else one)
+        for p in factors[1:]:
+            term = np.array([_mul(t, p, table) for t in term])
+        acc = acc + term
+    return tuple(outer[0]._new(v, m=m_out) for v in acc)
+
+
+def shift_all(components, point) -> tuple:
+    """Re-center every component: f(point + t) as a series in t (exact)."""
+    f = components[0]
+    basis = _basis(f.m, f.order)
+    shifted = np.zeros((f.m, len(basis.exps)))
+    shifted[:, 0] = np.asarray(point, dtype=float)
+    units = np.flatnonzero(basis.degree == 1)
+    shifted[basis.powers[units].argmax(axis=1), units] = 1.0
+    return compose_all(components, [f._new(v) for v in shifted])
 
 
 @functools.lru_cache(maxsize=None)

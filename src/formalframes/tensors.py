@@ -71,9 +71,11 @@ def close(x, y, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> bool:
 def check_square(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate invertibility of an n x n matrix under the condition guard."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ShapeMismatchError(f"{what} must be square, got shape {mat.shape}")
-    if np.linalg.cond(mat) > COND_LIMIT:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ShapeMismatchError(f"{what} must be square and non-empty, got shape {mat.shape}")
+    # np.linalg.cond's s_max / s_min, which is infinite where s_min is 0 or the ratio NaN
+    s_max, s_min = np.linalg.svd(mat, compute_uv=False)[[0, -1]].tolist()
+    if not s_min or not s_max / s_min <= COND_LIMIT:
         raise SingularityError(f"{what} is singular or too ill-conditioned")
     return mat
 

@@ -9,7 +9,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 
-from formalframes import FrameCoords
+from formalframes import FrameCoords, taylor
 
 # the verify suites' random data, re-exported to the test modules
 from formalframes.verify import (  # noqa: F401
@@ -48,3 +48,39 @@ def frame1d(base, *vals):
     return FrameCoords.from_arrays(
         [base], [np.full((1,) * (k + 2), v) for k, v in enumerate(vals)]
     )
+
+
+# -- the dense composition, one series at a time, that taylor.compose_all replaced
+
+
+def per_series_compose(f, inner):
+    """f with inner[i] substituted for x_i: its own powers of inner, one term at a time."""
+    basis = taylor._basis(f.m, f.order)
+    m_out = inner[0].m
+    table = taylor._product_table(m_out, f.order)
+    one = taylor._unit(len(taylor._basis(m_out, f.order).exps))
+    terms = basis.graded[f._v[basis.graded] != 0]
+    powers = []
+    for g, top in zip(inner, basis.powers[terms].max(axis=0, initial=0)):
+        ps = [one]
+        for _ in range(top):
+            ps.append(taylor._mul(ps[-1], g._v, table))
+        powers.append(ps)
+    acc = np.zeros_like(one)
+    for k in terms:
+        factors = [powers[i][e] for i, e in enumerate(basis.exps[k]) if e]
+        term = f._v[k] * (factors[0] if factors else one)
+        for p in factors[1:]:
+            term = taylor._mul(term, p, table)
+        acc = acc + term
+    return f._new(acc, m=m_out)
+
+
+def per_series_shift(f, point):
+    """f(point + t) as a series in t, by `per_series_compose`."""
+    basis = taylor._basis(f.m, f.order)
+    shifted = np.zeros((f.m, len(basis.exps)))
+    shifted[:, 0] = np.asarray(point, dtype=float)
+    units = np.flatnonzero(basis.degree == 1)
+    shifted[basis.powers[units].argmax(axis=1), units] = 1.0
+    return per_series_compose(f, [f._new(v) for v in shifted])

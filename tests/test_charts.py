@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from conftest import gap
+from conftest import gap, per_series_compose, per_series_shift
 
 from formalframes import (
     LowerTensor,
@@ -15,6 +15,7 @@ from formalframes import (
     max_asymmetry,
     transition_jet,
 )
+from formalframes.taylor import TaylorScalar, multi_indices
 
 
 def test_polynomial_jet_pin():
@@ -132,3 +133,53 @@ def test_transition_jet_compares_by_value_and_pickles_read_only():
     assert T != TransitionJet(p, value, D[:2])
     assert T != TransitionJet(p, value, D[:2] + (LowerTensor(2, 3, D[2].entries + 1.0),))
     assert T != p
+
+
+def per_component_taylor_at(spec, p, order):
+    """`SmoothMapSpec.taylor_at` with each component shifted or composed alone."""
+    p = np.asarray(p, dtype=float).reshape(spec.m_in)
+    if spec.kind == "polynomial":
+        degree = max(max((sum(e) for e in spec.coeffs), default=0), order)
+        return tuple(
+            per_series_shift(
+                TaylorScalar(spec.m_in, degree, {e: v[i] for e, v in spec.coeffs.items()}), p
+            ).truncate(order)
+            for i in range(spec.m_out)
+        )
+    if spec.kind == "moebius":
+        return spec.taylor_at(p, order)
+    comps = per_component_taylor_at(spec.maps[0], p, order)
+    for stage in spec.maps[1:]:
+        values = np.array([f.coefficient((0,) * f.m) for f in comps])
+        outer = per_component_taylor_at(stage, values, order)
+        displaced = [f - float(v) for f, v in zip(comps, values)]
+        comps = tuple(per_series_compose(f, displaced) for f in outer)
+    return comps
+
+
+def dense_poly(rng, n, degree):
+    """Every monomial up to `degree`, cross terms included, in reverse basis order."""
+    exps = multi_indices(n, degree)[::-1]
+    return SmoothMapSpec.polynomial(n, n, {e: tuple(rng.uniform(-0.5, 0.5, n)) for e in exps})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_taylor_at_rounds_as_each_component_alone(m, order):
+    rng = np.random.default_rng([7, m, order])
+    specs = [rand_poly(rng, m), dense_poly(rng, m, 3),
+             SmoothMapSpec.composite(rand_poly(rng, m), dense_poly(rng, m, 2)),
+             SmoothMapSpec.composite(rand_poly(rng, m), rand_poly(rng, m), rand_poly(rng, m))]
+    if m == 1:
+        mo = SmoothMapSpec.moebius(1.0, 0.5, 0.3, 2.0)
+        specs += [mo, SmoothMapSpec.composite(mo, rand_poly(rng, 1)),
+                  SmoothMapSpec.composite(rand_poly(rng, 1), mo, dense_poly(rng, 1, 3))]
+    for spec in specs:
+        for _ in range(3):
+            p = rng.uniform(-0.5, 0.5, m)
+            got = spec.taylor_at(p, order)
+            assert got == per_component_taylor_at(spec, p, order)
+            assert got == spec.taylor_at(p, order)  # the cached components are not changed
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and "_components" not in vars(back)
+        assert back.taylor_at(p, order) == got

@@ -189,3 +189,20 @@ def test_tolerances_must_be_finite_and_non_negative(option, value, tmp_path, cap
 def test_verify_below_order_two_is_a_configuration_error(capsys):
     assert main(["verify", "--trials", "1", "--r", "1"]) == 2
     assert "outside the supported desk scale" in capsys.readouterr().err
+
+
+def test_verify_writes_an_infinite_residual_as_null(monkeypatch, capsys):
+    from formalframes import verify
+
+    def suite_raises(rng, cfg):
+        raise ArithmeticError("no residual")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    monkeypatch.setattr(verify, "SUITES", [("raises", "an exception", suite_raises)])
+    assert main(["verify", "--trials", "1"]) == 1
+    out, err = capsys.readouterr()
+    (entry,) = json.loads(out, parse_constant=reject)["suites"]
+    assert entry["worst_residual"] is None and not entry["passed"]
+    assert "[FAIL] raises: worst residual inf" in err

@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import per_series_compose, per_series_shift
+
 from formalframes import ShapeMismatchError, SmoothMapSpec
-from formalframes.taylor import TaylorScalar, derivative_tensor, multi_indices
+from formalframes.taylor import (
+    TaylorScalar,
+    compose_all,
+    derivative_tensor,
+    multi_indices,
+    shift_all,
+)
 from formalframes.verify import _rand_poly_map
 
 
@@ -405,6 +413,41 @@ def test_transition_jets_round_as_the_term_by_term_expansion():
             got = spec.taylor_at(p, order)
             want = reference_taylor_at(spec, p, order)
             assert [f.coeffs for f in got] == [f.coeffs for f in want]
+
+
+# -- shared powers against one series at a time -----------------------------------
+
+
+def sparse_series(rng, m, order):
+    """A series with about a third of its coefficients zero, listed out of basis order."""
+    exps = multi_indices(m, order)
+    values = rng.uniform(-1, 1, len(exps)) * (rng.random(len(exps)) < 0.7)
+    return TaylorScalar(m, order, dict(reversed(list(zip(exps, values)))))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_shared_powers_round_as_each_series_alone(m, order):
+    rng = np.random.default_rng([m, order])
+    for m_out in (1, 2, 3):
+        for count in (1, 2, 3):
+            outer = [sparse_series(rng, m, order) for _ in range(count)]
+            inner = [sparse_series(rng, m_out, order) for _ in range(m)]
+            assert compose_all(outer, inner) == tuple(per_series_compose(f, inner) for f in outer)
+            point = rng.uniform(-1, 1, m)
+            assert shift_all(outer, point) == tuple(per_series_shift(f, point) for f in outer)
+            assert outer[0].compose(inner) == per_series_compose(outer[0], inner)
+            assert outer[0].shift_center(point) == per_series_shift(outer[0], point)
+
+
+def test_compose_all_checks_every_series():
+    f, g = TaylorScalar.variable(0, 2, 3), TaylorScalar.variable(0, 1, 3)
+    with pytest.raises(ShapeMismatchError):
+        compose_all([f, TaylorScalar.variable(0, 2, 2)], [g, g])
+    with pytest.raises(ShapeMismatchError):
+        compose_all([f, g], [g, g])
+    with pytest.raises(ShapeMismatchError):
+        compose_all([f], [g, TaylorScalar.variable(0, 2, 3)])
 
 
 # -- API edges -------------------------------------------------------------------

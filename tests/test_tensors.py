@@ -6,12 +6,13 @@ from formalframes import (
     JetGroupElement,
     LowerTensor,
     ShapeMismatchError,
+    SingularityError,
     is_classical,
     is_classical_frame,
     max_asymmetry,
     symmetrize_array,
 )
-from formalframes.tensors import symmetrize
+from formalframes.tensors import COND_LIMIT, check_square, symmetrize
 
 
 def test_lower_tensor_shape_is_validated():
@@ -87,3 +88,39 @@ def test_lower_tensor_rejects_non_finite_entries(bad):
     arr[1, 0, 1] = bad
     with pytest.raises(ValueError, match=r"n=2, k=2.*\(1, 0, 1\)"):
         LowerTensor(2, 2, arr)
+
+
+def singular_verdict(mat) -> bool:
+    try:
+        check_square(mat)
+    except SingularityError:
+        return True
+    return False
+
+
+def test_check_square_keeps_the_np_linalg_cond_verdict():
+    rng = np.random.default_rng(9)
+    mats = [rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3) for n in (1, 2, 3, 5)
+            for _ in range(40)]
+    # condition numbers 1e8·(1 ± 2⁻⁴⁰) and 1e8 itself, as diagonals and rotated
+    for c in (COND_LIMIT * (1 - 2.0 ** -40), COND_LIMIT, COND_LIMIT * (1 + 2.0 ** -40)):
+        for scale in (1e-3, 1.0, 1e3):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            mats += [np.diag([c * scale, scale]), np.diag([scale, scale, c * scale]),
+                     q @ np.diag([c * scale, scale, scale]) @ q.T]
+    # rank-deficient: outer products and a repeated row, then the zero matrix
+    u, v = rng.normal(size=(2, 3))
+    mats += [np.outer(u, v), np.vstack([u, u, v]), np.ones((2, 2))]
+    mats += [np.zeros((n, n)) for n in (1, 2, 3)]
+    verdicts = [singular_verdict(mat) for mat in mats]
+    assert verdicts == [bool(np.linalg.cond(mat) > COND_LIMIT) for mat in mats]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_check_square_edges():
+    assert singular_verdict(np.array([[np.inf, 0.0], [0.0, 1.0]]))  # cond reads NaN as inf
+    with pytest.raises(np.linalg.LinAlgError):
+        check_square(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for bad in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(2)):
+        with pytest.raises(ShapeMismatchError):
+            check_square(bad)
