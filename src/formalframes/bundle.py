@@ -12,10 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charts import TransitionJet
 from .jetgroup import (
     JetAlgebraElement,
     JetGroupElement,
@@ -33,7 +33,12 @@ from .tensors import (
     _eq_by_fields,
     _reduce_by_fields,
     check_square,
+    close,
 )
+
+if TYPE_CHECKING:  # annotations only: one-shot commands need not load charts or taylor
+    from .charts import TransitionJet
+
 
 def algebra_size(n: int, r: int) -> int:
     """Dimension of the identity tangent space of the order-(r-1) bundle."""
@@ -186,7 +191,7 @@ def change_chart(
     """Left multiplication by the transition jet; base mapped through."""
     if T.order < u.r:
         raise ShapeMismatchError("transition jet order too low for this frame")
-    if not np.allclose(T.p, u.base, atol=1e-9):
+    if not close(T.p, u.base):
         raise ShapeMismatchError("transition jet not evaluated at the frame's base")
     tensors = compose_tensors([arr for arr in T.arrays[: u.r]], u.arrays)
     return FrameCoords.from_arrays(
@@ -204,6 +209,8 @@ def change_chart_pushforward(u: FrameCoords, T: TransitionJet, X: BundleTangent)
     """
     if T.order < u.r + 1:
         raise ShapeMismatchError("pushforward needs a jet of order r+1")
+    if not close(T.p, u.base):
+        raise ShapeMismatchError("transition jet not evaluated at the frame's base")
     D = T.arrays
     base_moved = [np.tensordot(D[k], X.d_base, axes=([-1], [0])) for k in range(1, u.r + 1)]
     term1 = compose_tensors(base_moved, u.arrays, u.r)

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .bundle import FrameCoords
-from .charts import SmoothMapSpec, transition_jet
 from .forms import RealizabilityDisagreement, realizability_check, schwarzian
 from .jetgroup import JetGroupElement, jet_compose, jet_inverse, kappa_project
 from .tensors import ShapeMismatchError, SingularityError
@@ -108,6 +107,8 @@ def cmd_kappa(args) -> int:
 
 def cmd_schwarzian(args) -> int:
     """Schwarzian derivative of a 1-d map at the given points."""
+    from .charts import SmoothMapSpec, transition_jet
+
     doc = _load(args)
     spec = SmoothMapSpec.from_json(doc["map"])
     if spec.m_in != 1 or spec.m_out != 1:

@@ -18,7 +18,7 @@ from .charts import TransitionJet, transition_jet
 from .connection import ChristoffelField, christoffel_transform, deformation_transform
 from .fields import PolyField
 from .jetgroup import JetGroupElement
-from .tensors import ShapeMismatchError, _eq_by_fields, _reduce_by_fields, check_square
+from .tensors import ShapeMismatchError, _eq_by_fields, _reduce_by_fields, check_square, close
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def t2m_transition(c, T: TransitionJet):
     if T.order < 2:
         raise ShapeMismatchError("2-tangent transition needs a 2-jet")
     x, v, xdot, vdot = (np.asarray(a, dtype=float) for a in c)
-    if not np.allclose(T.p, x, atol=1e-9):
+    if not close(T.p, x):
         raise ShapeMismatchError("transition jet not centered at the given point")
     D, H = T.arrays[0], T.arrays[1]
     return (

@@ -5,13 +5,20 @@ Elements carry tensors ``a[1..r]`` (``a[k]`` of lower order ``k``) with
 is generated by a formal-differentiation recursion on symbolic terms, which
 one evaluator, `_order_k`, sums for the product, its right derivative, the
 inverse and the adjoint; the order-2 and order-3 closed formulas are kept
-in the test suite as pinned cross-checks.  The symmetric (classical)
-subgroup is composed through the same product, as κ∘product∘ε; the
-truncated-Taylor route lives only in `oracles`, which checks it.
+in the test suite as pinned cross-checks.  Terms are grouped by the ordered
+sizes of their blocks (Hardy, "Combinatorics of partial derivatives", EJC
+13, 2006): each of the 2^(k-1) compositions of k is contracted once, and
+its terms add transposes of that one contraction in term order, so an
+order-k product makes 2^(k-1) einsum calls instead of Bell(k) (32 instead
+of 203 at k = 6), and its right derivative (k+1)·2^(k-2) (112 instead of
+674).  The symmetric (classical) subgroup is composed through the same
+product, as κ∘product∘ε; the truncated-Taylor route lives only in
+`oracles`, which checks it.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,18 +73,48 @@ def eval_term(a_arr: np.ndarray, factor_arrs, term) -> np.ndarray:
     return np.einsum(_subscripts(term), a_arr, *factor_arrs)
 
 
+@functools.lru_cache(maxsize=None)
+def _plan(k: int):
+    """The order-k terms grouped by composition: (canonical terms, members).
+
+    Terms whose blocks have the same sizes in the same order contract the
+    same operands, and differ only in which output axes each block feeds.
+    For each of the 2^(k-1) compositions of k the plan keeps its canonical
+    term, whose blocks are consecutive; `members` lists every term in
+    `product_terms` order as (composition index, axes), where
+    ``transpose(axes)`` of the canonical contraction gives that term's.
+    """
+    canonical, index, members = [], {}, []
+    for term in product_terms(k):
+        sizes = tuple(len(block) for block in term)
+        if sizes not in index:
+            index[sizes] = len(canonical)
+            lower = iter(range(k))
+            canonical.append(tuple(tuple(itertools.islice(lower, size)) for size in sizes))
+        position = [0] * k  # the canonical output axis of each lower index
+        for block, canon_block in zip(term, canonical[index[sizes]]):
+            for p, q in zip(block, canon_block):
+                position[p] = q
+        members.append((index[sizes], (0,) + tuple(1 + q for q in position)))
+    return tuple(canonical), tuple(members)
+
+
 def _order_k(a_arrays, b_arrays, k: int, db_arrays=None) -> np.ndarray:
     """Order-k component of a·b, or with `db_arrays` its derivative in b along db.
 
-    The derivative sums each term once per block, with that block's factor
-    replaced by db.  A term with an all-zero factor array is skipped, so at
-    b = identity only terms whose other blocks are singletons remain, and a
-    zero b[k] drops the a[1]·b[k] term.
+    Each composition of k is contracted once per derivative slot, and every
+    term adds the transpose of its composition's contractions, in
+    `product_terms` order, so the sum is the per-term sum bit for bit.  The
+    derivative sums each term once per block, with that block's factor
+    replaced by db.  A composition with an all-zero factor array is skipped,
+    so at b = identity only terms whose other blocks are singletons remain,
+    and a zero b[k] drops the a[1]·b[k] term.
     """
     b_zero = [not arr.any() for arr in b_arrays[:k]]
     db_zero = [] if db_arrays is None else [not arr.any() for arr in db_arrays[:k]]
-    acc = None
-    for term in product_terms(k):
+    canonical, members = _plan(k)
+    values = []
+    for term in canonical:
         orders = [len(block) - 1 for block in term]
         zero = [t for t, o in enumerate(orders) if b_zero[o]]
         if db_arrays is None:
@@ -86,11 +123,17 @@ def _order_k(a_arrays, b_arrays, k: int, db_arrays=None) -> np.ndarray:
             slots = zero
         else:
             slots = () if zero else range(len(term))
+        contractions = []
         for t in slots:
             if t is not None and db_zero[orders[t]]:
                 continue
             factors = [(db_arrays if s == t else b_arrays)[o] for s, o in enumerate(orders)]
-            val = eval_term(a_arrays[len(term) - 1], factors, term)
+            contractions.append(eval_term(a_arrays[len(term) - 1], factors, term))
+        values.append(contractions)
+    acc = None
+    for c, axes in members:
+        for val in values[c]:
+            val = val.transpose(axes)
             acc = val if acc is None else acc + val
     if acc is None:  # every term had a zero factor; adding 0·a keeps Fractions Fraction
         like = b_arrays[:1] if db_arrays is None else [b_arrays[0], db_arrays[0]]

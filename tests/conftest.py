@@ -9,7 +9,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 
-from formalframes import FrameCoords, taylor
+from formalframes import FrameCoords, jetgroup, taylor
 
 # the verify suites' random data, re-exported to the test modules
 from formalframes.verify import (  # noqa: F401
@@ -84,3 +84,33 @@ def per_series_shift(f, point):
     units = np.flatnonzero(basis.degree == 1)
     shifted[basis.powers[units].argmax(axis=1), units] = 1.0
     return per_series_compose(f, [f._new(v) for v in shifted])
+
+
+# -- the per-term product evaluator that the composition plan of jetgroup._order_k replaced
+
+
+def per_term_order_k(a_arrays, b_arrays, k, db_arrays=None):
+    """Order-k component of a·b, or its derivative in b along db: one einsum per term."""
+    b_zero = [not arr.any() for arr in b_arrays[:k]]
+    db_zero = [] if db_arrays is None else [not arr.any() for arr in db_arrays[:k]]
+    acc = None
+    for term in jetgroup.product_terms(k):
+        orders = [len(block) - 1 for block in term]
+        zero = [t for t, o in enumerate(orders) if b_zero[o]]
+        if db_arrays is None:
+            slots = () if zero else (None,)
+        elif len(zero) == 1:
+            slots = zero
+        else:
+            slots = () if zero else range(len(term))
+        for t in slots:
+            if t is not None and db_zero[orders[t]]:
+                continue
+            factors = [(db_arrays if s == t else b_arrays)[o] for s, o in enumerate(orders)]
+            val = jetgroup.eval_term(a_arrays[len(term) - 1], factors, term)
+            acc = val if acc is None else acc + val
+    if acc is None:
+        like = b_arrays[:1] if db_arrays is None else [b_arrays[0], db_arrays[0]]
+        zeros = np.zeros((len(a_arrays[0]),) * (k + 1), np.result_type(a_arrays[0], *like))
+        return zeros + 0 * a_arrays[0].flat[0]
+    return acc

@@ -15,6 +15,7 @@ from formalframes import (
     algebra_size,
     canonical_form,
     change_chart,
+    change_chart_pushforward,
     coord_size,
     fundamental_vector,
     jet_identity,
@@ -217,3 +218,20 @@ def test_frame_with_built_iso_pickles_and_compares_equal():
     assert u != FrameCoords.from_arrays(u.base, u.arrays, "other")
     assert u != FrameCoords.from_arrays(u.base + 1.0, u.arrays, u.chart_id)
     assert u != rand_frame(rng, 2, 3)
+
+
+def test_chart_change_needs_the_jet_at_the_frames_base():
+    """The point is compared by the package rule, atol = rtol = 1e-9, in both chart changes."""
+    rng = np.random.default_rng(16)
+    u = FrameCoords.from_arrays([1.0, 2.0], rand_frame(rng, 2, 2).arrays)
+    X = rand_tangent(rng, 2, 2)
+    identity = SmoothMapSpec.identity(2)
+    for point in ([1.0, 2.0 + 5e-6], [50.0, -7.0]):
+        T = transition_jet(identity, point, 3)
+        with pytest.raises(ShapeMismatchError, match="frame's base"):
+            change_chart(u, T)
+        with pytest.raises(ShapeMismatchError, match="frame's base"):
+            change_chart_pushforward(u, T, X)
+    T = transition_jet(identity, u.base, 3)
+    assert change_chart(u, T).base.tolist() == [1.0, 2.0]
+    assert change_chart_pushforward(u, T, X) == X

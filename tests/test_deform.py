@@ -11,6 +11,7 @@ from formalframes import (
     DeformationPair,
     GarciaPairPoint,
     PolyField,
+    ShapeMismatchError,
     SmoothMapSpec,
     TangentAlgebraElement,
     TangentGroupElement,
@@ -115,6 +116,9 @@ def test_t2m_transition_pin():
     out = t2m_transition(([1.0], [1.0], [1.0], [0.0]), T)
     flat = [float(np.asarray(v).reshape(())) for v in out]
     assert flat == pytest.approx([2.0, 3.0, 3.0, 2.0])
+    for x in ([1.0 + 5e-6], [50.0]):  # the package rule, atol = rtol = 1e-9
+        with pytest.raises(ShapeMismatchError, match="not centered"):
+            t2m_transition((x, [1.0], [1.0], [0.0]), T)
 
 
 def test_t2m_cocycle():

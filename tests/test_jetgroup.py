@@ -1,9 +1,10 @@
 import pickle
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import gap, rand_classical, rand_group
+from conftest import gap, per_term_order_k, rand_classical, rand_group
 
 from formalframes import (
     AsymmetryError,
@@ -19,9 +20,11 @@ from formalframes import (
     jet_compose,
     jet_identity,
     jet_inverse,
+    jetgroup,
     kappa_project,
 )
 from formalframes.jetgroup import (
+    _order_k,
     compose_right_derivative,
     compose_tensors,
     identity_arrays,
@@ -319,3 +322,58 @@ def test_identity_factors_give_exact_results():
     u = fraction_jet(np.random.default_rng(6), 2, 3)
     zero = compose_right_derivative(u, u, [0 * x for x in u])  # every term skipped
     assert all_fractions(zero) and not any(x.any() for x in zero)
+
+
+def test_one_contraction_per_composition_and_slot(monkeypatch):
+    """2^(k-1) einsums per product order, (k+1)·2^(k-2) per right-derivative order."""
+    calls = []  # jetgroup's numpy swapped for a copy whose einsum counts its calls
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(np.__dict__)
+    proxy.einsum = lambda *args, **kwargs: calls.append(args[0]) or np.einsum(*args, **kwargs)
+    monkeypatch.setattr(jetgroup, "np", proxy)
+    rng = np.random.default_rng(17)
+    a, b, db = (rand_group(rng, 2, 6).arrays for _ in range(3))
+    e = identity_arrays(2, 6)
+    zero = [np.zeros_like(x) for x in db]
+
+    def count(*args):
+        calls.clear()
+        _order_k(*args)
+        return len(calls)
+
+    for k in range(1, 7):
+        assert count(a, b, k) == 2 ** (k - 1)
+        assert count(a, b, k, db) == (k + 1) * 2 ** (k - 1) // 2
+        # at the identity: the all-singleton composition, with db in any block, and
+        # each composition with one larger block, with db in that block
+        assert count(a, e, k) == 1
+        assert count(a, e, k, db) == k * (k + 1) // 2
+        assert count(a, b, k, zero) == 0
+
+
+def assert_same_as_per_term(a, b, db):
+    """compose_tensors and compose_right_derivative equal the per-term sums bit for bit."""
+    for got, d in ((compose_tensors(a, b), None), (compose_right_derivative(a, b, db), db)):
+        for k, x in enumerate(got, start=1):
+            want = per_term_order_k(a, b, k, d)
+            assert x.dtype == want.dtype and np.array_equal(x, want), (len(a[0]), k, d is None)
+
+
+@pytest.mark.parametrize("n, r", [(1, 6), (2, 6), (3, 5), (4, 4)])
+def test_composition_plan_sums_like_the_per_term_evaluator(n, r):
+    rng = np.random.default_rng([n, r, 2])
+    a, b, db = (rand_group(rng, n, r).arrays for _ in range(3))
+    sparse = [x if k % 2 else np.zeros_like(x) for k, x in enumerate(db, start=1)]
+    assert_same_as_per_term(a, b, db)
+    assert_same_as_per_term(a, identity_arrays(n, r), sparse)
+    assert_same_as_per_term(a, b, sparse)
+    # the benchmark's complex-step checks pass complex operands
+    tilt = [x + 1e-20j * y for x, y in zip(b, db)]
+    assert_same_as_per_term([x + 1j * y for x, y in zip(a, b)], tilt, db)
+
+
+def test_composition_plan_sums_fractions_like_the_per_term_evaluator():
+    rng = np.random.default_rng(18)
+    a, b, db = (fraction_jet(rng, 2, 3) for _ in range(3))
+    assert_same_as_per_term(a, b, db)
+    assert_same_as_per_term(a, identity_arrays(2, 3, a[0]), [db[0], 0 * db[1], db[2]])

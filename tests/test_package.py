@@ -198,12 +198,16 @@ def test_product_terms_loop_scan_finds_every_form():
 
 
 def test_one_function_loops_over_the_product_terms():
-    """Product, right derivative, inverse, translation and adjoint share one evaluator."""
+    """Product, right derivative, inverse, translation and adjoint share one evaluator.
+
+    `_order_k` is that evaluator; it reads the terms through `_plan`, which
+    groups them by composition once per order.
+    """
     found = {
         path.name: product_terms_loops(path.read_text())
         for path in sorted(Path(formalframes.__file__).parent.glob("*.py"))
     }
-    assert {name: hits for name, hits in found.items() if hits} == {"jetgroup.py": ["_order_k"]}
+    assert {name: hits for name, hits in found.items() if hits} == {"jetgroup.py": ["_plan"]}
 
 
 def loaded_submodules(argv, stdin=""):
@@ -240,6 +244,9 @@ def test_one_shot_commands_load_only_their_layers(tmp_path):
         assert done.returncode == 0, (argv, done.stderr)
         # the benchmark's traced CLI wraps these three right after importing the CLI
         assert {"jetgroup", "bundle", "forms"} <= loaded and loaded.isdisjoint(heavy), (argv, loaded)
+        # only the Schwarzian evaluates a map, through the Taylor layer
+        maps = {"charts", "taylor"}
+        assert maps <= loaded if argv == ["schwarzian"] else loaded.isdisjoint(maps), (argv, loaded)
     # the sampling mode needs verify's random frames, and imports it when it runs
     loaded, done = loaded_submodules(["-m", "formalframes.cli", "torsion", "--trials", "1"])
     assert done.returncode == 0, done.stderr
