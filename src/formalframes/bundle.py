@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,11 +29,9 @@ from .jetgroup import (
 from .tensors import (
     LowerTensor,
     ShapeMismatchError,
-    SingularityError,
-    _eq_by_fields,
-    _reduce_by_fields,
     check_square,
     close,
+    record,
 )
 
 if TYPE_CHECKING:  # annotations only: one-shot commands need not load charts or taylor
@@ -50,7 +48,7 @@ def coord_size(n: int, r: int) -> int:
     return algebra_size(n, r + 1)
 
 
-@dataclass(frozen=True)
+@record(arrays=("base",))
 class FrameCoords:
     """Natural coordinates of an order-r frame: base point + tensors 1..r."""
 
@@ -62,12 +60,9 @@ class FrameCoords:
 
     def __post_init__(self):
         base = np.asarray(self.base, dtype=float).reshape(self.n)
-        base = base.copy()
-        base.setflags(write=False)
-        object.__setattr__(self, "base", base)
         tensors = _validate_tensor_list(self.n, self.r, self.a, "FrameCoords")
         check_square(tensors[0].entries, "order-1 frame tensor")
-        object.__setattr__(self, "a", tensors)
+        return {"base": base, "a": tensors}
 
     @classmethod
     def from_arrays(cls, base, arrays, chart_id: str = "chart0") -> "FrameCoords":
@@ -82,12 +77,9 @@ class FrameCoords:
     def identity_frame(cls, n: int, r: int, chart_id: str = "chart0") -> "FrameCoords":
         return cls.from_arrays(np.zeros(n), identity_arrays(n, r), chart_id)
 
-    __eq__ = _eq_by_fields
-    __reduce__ = _reduce_by_fields  # the cached iso is rebuilt on first use
-
     @functools.cached_property
     def iso(self) -> "TangentIso":
-        """L_u, built on first use and kept; an ill-conditioned one raises each time."""
+        """L_u, built on first use and kept (not pickled); an ill-conditioned one raises each time."""
         return TangentIso(self)
 
     @property
@@ -114,7 +106,7 @@ class FrameCoords:
         )
 
 
-@dataclass(frozen=True)
+@record(arrays=("d_base",))
 class BundleTangent:
     """Tangent vector in natural coordinates: (δh, δu[1..r])."""
 
@@ -124,11 +116,9 @@ class BundleTangent:
     d_tensors: tuple = field(default=())
 
     def __post_init__(self):
-        d_base = np.asarray(self.d_base, dtype=float).reshape(self.n).copy()
-        d_base.setflags(write=False)
-        object.__setattr__(self, "d_base", d_base)
+        d_base = np.asarray(self.d_base, dtype=float).reshape(self.n)
         tensors = _validate_tensor_list(self.n, self.r, self.d_tensors, "BundleTangent")
-        object.__setattr__(self, "d_tensors", tensors)
+        return {"d_base": d_base, "d_tensors": tensors}
 
     @classmethod
     def from_arrays(cls, d_base, arrays) -> "BundleTangent":
@@ -143,9 +133,6 @@ class BundleTangent:
     def from_flat(cls, n: int, r: int, vec) -> "BundleTangent":
         d_base, *arrays = unflatten(n, r + 1, vec)
         return cls.from_arrays(d_base, arrays)
-
-    __eq__ = _eq_by_fields
-    __reduce__ = _reduce_by_fields
 
     @property
     def arrays(self):
@@ -301,8 +288,7 @@ class TangentIso:
         self.N = algebra_size(self.n, self.r)
         self.matrix = translation_matrix(u.arrays, self.n, self.r)
         self.matrix.setflags(write=False)
-        if np.linalg.cond(self.matrix) > 1e8:
-            raise SingularityError("right-translation matrix is ill-conditioned")
+        check_square(self.matrix, "right-translation matrix")
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:

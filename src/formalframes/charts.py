@@ -8,18 +8,16 @@ with no numerical-differentiation noise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .jetgroup import ClassicalJet, JetGroupElement, epsilon_embed
 from .taylor import TaylorScalar, compose_all, derivative_tensor, shift_all
-from .tensors import (
-    LowerTensor, ShapeMismatchError, SingularityError, _eq_by_fields, _reduce_by_fields,
-)
+from .tensors import LowerTensor, ShapeMismatchError, SingularityError, record
 
 
-@dataclass(frozen=True)
+@record(mappings=("coeffs",))
 class SmoothMapSpec:
     """kind: 'polynomial' | 'moebius' | 'composite'."""
 
@@ -42,14 +40,14 @@ class SmoothMapSpec:
                 if len(exp) != self.m_in or len(vals) != self.m_out:
                     raise ShapeMismatchError("bad polynomial coefficient entry")
                 clean[exp] = vals
-            object.__setattr__(self, "coeffs", clean)
+            return {"coeffs": clean}
         elif self.kind == "moebius":
             if self.m_in != 1 or self.m_out != 1:
                 raise ShapeMismatchError("moebius maps are 1-dimensional")
             a, b, c, d = (float(v) for v in self.abcd)
             if a * d - b * c == 0.0:
                 raise SingularityError("moebius determinant vanishes")
-            object.__setattr__(self, "abcd", (a, b, c, d))
+            return {"abcd": (a, b, c, d)}
         elif self.kind == "composite":
             maps = tuple(self.maps)
             if not maps:
@@ -57,13 +55,9 @@ class SmoothMapSpec:
             for f, g in zip(maps, maps[1:]):
                 if f.m_out != g.m_in:
                     raise ShapeMismatchError("composite dimension mismatch")
-            object.__setattr__(self, "maps", maps)
-            object.__setattr__(self, "m_in", maps[0].m_in)
-            object.__setattr__(self, "m_out", maps[-1].m_out)
+            return {"maps": maps, "m_in": maps[0].m_in, "m_out": maps[-1].m_out}
         else:
             raise ShapeMismatchError(f"unknown map kind {self.kind!r}")
-
-    __reduce__ = _reduce_by_fields  # the cached _components stay behind
 
     # -- constructors ------------------------------------------------------
 
@@ -125,7 +119,7 @@ class SmoothMapSpec:
 
     @functools.cached_property
     def _components(self):
-        """A polynomial map's components as series at its own degree."""
+        """A polynomial map's components as series at its own degree (not pickled)."""
         degree = max((sum(exp) for exp in self.coeffs), default=0)
         return tuple(TaylorScalar(self.m_in, degree, {e: v[i] for e, v in self.coeffs.items()})
                      for i in range(self.m_out))
@@ -167,7 +161,7 @@ class SmoothMapSpec:
         raise ShapeMismatchError(f"unknown map kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@record(arrays=("p", "value"))
 class TransitionJet:
     """Value and derivative tensors D¹φ..Dʳφ of a map at a point."""
 
@@ -176,16 +170,7 @@ class TransitionJet:
     D: tuple  # LowerTensors, D[k-1] of lower order k
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        value = np.array(self.value, dtype=float)
-        p.setflags(write=False)
-        value.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "D", tuple(self.D))
-
-    __eq__ = _eq_by_fields
-    __reduce__ = _reduce_by_fields
+        return {"D": tuple(self.D)}
 
     @property
     def order(self) -> int:

@@ -11,8 +11,6 @@ differentiation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bundle import BundleTangent, FrameCoords
@@ -20,10 +18,10 @@ from .charts import TransitionJet
 from .fields import PolyField
 from .forms import canonical_form
 from .jetgroup import JetAlgebraElement
-from .tensors import ShapeMismatchError, SingularityError
+from .tensors import ShapeMismatchError, SingularityError, record
 
 
-@dataclass(frozen=True)
+@record
 class ChristoffelField:
     """Polynomial Christoffel table Γ^i_{jk}(x) on one chart."""
 

@@ -9,7 +9,7 @@ semidirect group: θ picks up the usual gauge term while μ is tensorial.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -18,14 +18,14 @@ from .charts import TransitionJet, transition_jet
 from .connection import ChristoffelField, christoffel_transform, deformation_transform
 from .fields import PolyField
 from .jetgroup import JetGroupElement
-from .tensors import ShapeMismatchError, _eq_by_fields, _reduce_by_fields, check_square, close
+from .tensors import ShapeMismatchError, check_square, close, record
 
 
 # ---------------------------------------------------------------------------
 # the tangent group GLₙ ⋉ 𝔤𝔩ₙ
 
 
-@dataclass(frozen=True)
+@record(arrays=("A", "X"))
 class TangentGroupElement:
     """(A, X) with A invertible; product (A,X)(B,Y) = (AB, B⁻¹XB + Y)."""
 
@@ -38,15 +38,6 @@ class TangentGroupElement:
         check_square(A, "A block")
         if X.shape != A.shape:
             raise ShapeMismatchError("X block must match A in shape")
-        A = A.copy()
-        X = X.copy()
-        A.setflags(write=False)
-        X.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "X", X)
-
-    __eq__ = _eq_by_fields
-    __reduce__ = _reduce_by_fields
 
     @property
     def n(self) -> int:
@@ -66,7 +57,7 @@ class TangentGroupElement:
         return out
 
 
-@dataclass(frozen=True)
+@record(arrays=("dA", "dX"))
 class TangentAlgebraElement:
     """(Ȧ, Ẋ): tangent at the identity of the tangent group."""
 
@@ -78,15 +69,6 @@ class TangentAlgebraElement:
         dX = np.asarray(self.dX, dtype=float)
         if dA.shape != dX.shape or dA.ndim != 2 or dA.shape[0] != dA.shape[1]:
             raise ShapeMismatchError("algebra blocks must be equal square matrices")
-        dA = dA.copy()
-        dX = dX.copy()
-        dA.setflags(write=False)
-        dX.setflags(write=False)
-        object.__setattr__(self, "dA", dA)
-        object.__setattr__(self, "dX", dX)
-
-    __eq__ = _eq_by_fields
-    __reduce__ = _reduce_by_fields
 
     @property
     def n(self) -> int:
@@ -128,7 +110,7 @@ def tg_adjoint(p: TangentGroupElement, v: TangentAlgebraElement) -> TangentAlgeb
 # deformation 1-forms and pairs
 
 
-@dataclass(frozen=True)
+@record(mappings=("charts",))
 class DeformationPair:
     """Per-chart (θ, μ) coefficient tables, both shaped (n, n, n).
 
@@ -315,7 +297,7 @@ def covariant_derivative_residual(
 # the jet-bundle isomorphism of the semidirect frame bundle
 
 
-@dataclass(frozen=True)
+@record(arrays=("x", "a", "b", "a2", "b2"))
 class GarciaPairPoint:
     """Section-jet data (x, (a, b), (a₂, b₂)) in jet-bundle coordinates.
 
@@ -332,22 +314,12 @@ class GarciaPairPoint:
     b2: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float).reshape(self.n)
-        a = np.array(self.a, dtype=float).reshape(self.n, self.n)
-        b = np.array(self.b, dtype=float).reshape(self.n, self.n)
-        a2 = np.array(self.a2, dtype=float).reshape((self.n,) * 3)
-        b2 = np.array(self.b2, dtype=float).reshape((self.n,) * 3)
-        check_square(a, "a block")
-        for arr in (x, a, b, a2, b2):
-            arr.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "b2", b2)
-
-    __eq__ = _eq_by_fields
-    __reduce__ = _reduce_by_fields
+        n = self.n
+        values = {"x": np.reshape(self.x, n), "a": np.reshape(self.a, (n, n)),
+                  "b": np.reshape(self.b, (n, n)), "a2": np.reshape(self.a2, (n,) * 3),
+                  "b2": np.reshape(self.b2, (n,) * 3)}
+        check_square(values["a"], "a block")
+        return values
 
 
 def garcia_pair_action(s: GarciaPairPoint, g, X) -> GarciaPairPoint:

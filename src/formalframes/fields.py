@@ -7,15 +7,16 @@ tight tolerances.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
-from .tensors import ShapeMismatchError, _eq_by_fields, _reduce_by_fields
+from .tensors import ShapeMismatchError, record
 
 
-@dataclass(frozen=True)
+@record(mappings=("coeffs",))
 class PolyField:
     """Polynomial map from m chart coordinates into arrays of fixed shape."""
 
@@ -33,21 +34,18 @@ class PolyField:
             arr = np.asarray(arr, dtype=float)
             if arr.shape != shape:
                 arr = arr.reshape(shape)
-            arr = arr.copy()
-            arr.setflags(write=False)
             if np.any(arr):
                 clean[exp] = arr
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "coeffs", clean)
-        # exponents and coefficient rows in coeffs order, for evaluate
-        powers = np.array(list(clean), dtype=np.intp).reshape(len(clean), self.m)
-        stack = np.reshape(list(clean.values()), (len(clean), math.prod(shape)))
-        for name, arr in (("_powers", powers), ("_stack", stack)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        return {"shape": shape, "coeffs": clean}
 
-    __eq__ = _eq_by_fields
-    __reduce__ = _reduce_by_fields
+    @functools.cached_property
+    def _terms(self):
+        """Exponents and coefficient rows in coeffs order, read-only, for evaluate."""
+        powers = np.array(list(self.coeffs), dtype=np.intp).reshape(len(self.coeffs), self.m)
+        stack = np.reshape(list(self.coeffs.values()), (len(self.coeffs), math.prod(self.shape)))
+        for arr in (powers, stack):
+            arr.setflags(write=False)
+        return powers, stack
 
     @classmethod
     def constant(cls, arr, m: int) -> "PolyField":
@@ -81,7 +79,8 @@ class PolyField:
 
     def evaluate(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=float).reshape(self.m)
-        terms = self._stack * np.prod(point ** self._powers, axis=1)[:, None]
+        powers, stack = self._terms
+        terms = stack * np.prod(point ** powers, axis=1)[:, None]
         # 0 + t_0 + t_1 + …, one term after another in coeffs order; a reduce
         # would add the terms of a one-entry shape pairwise
         zero = np.zeros((1, terms.shape[1]))

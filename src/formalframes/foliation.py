@@ -8,14 +8,14 @@ transverse connection 1-form has no dx-components in foliated charts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .bundle import FrameCoords, change_chart
 from .charts import SmoothMapSpec, transition_jet
 from .fields import PolyField
-from .tensors import ShapeMismatchError
+from .tensors import ShapeMismatchError, record
 
 
 def transition_is_foliated(spec: SmoothMapSpec, leaf_dim: int) -> bool:
@@ -38,7 +38,7 @@ def transition_is_foliated(spec: SmoothMapSpec, leaf_dim: int) -> bool:
     return leaf_dim == 0
 
 
-@dataclass(frozen=True)
+@record
 class FoliationTransition:
     """Chart overlap data: full map (x,y) ↦ (ψ(x,y), γ(y))."""
 
@@ -58,7 +58,7 @@ class FoliationTransition:
             )
 
 
-@dataclass(frozen=True)
+@record(mappings=("charts",))
 class BottData:
     """Transverse connection 1-form tables θ^i_{jA} dz^A per chart.
 

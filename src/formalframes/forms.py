@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .tensors import (
     ShapeMismatchError,
     SingularityError,
     asymmetry_witness,
+    record,
     symmetrize_array,
 )
 
@@ -37,7 +37,7 @@ class RealizabilityDisagreement(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@record
 class TorsionType:
     """Order k and insertion positions (p₁,…,p_{k−1}), 1 ≤ p_a ≤ a+1."""
 
@@ -51,7 +51,7 @@ class TorsionType:
         for a, pa in enumerate(p, start=1):
             if not 1 <= pa <= a + 1:
                 raise ShapeMismatchError(f"insertion position p_{a}={pa} out of range")
-        object.__setattr__(self, "p", p)
+        return {"p": p}
 
 
 def enumerate_torsion_types(k: int):

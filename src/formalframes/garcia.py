@@ -9,16 +9,15 @@ two charts are exchanged by the mutually inverse maps `phi_map` and
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import BundleTangent, FrameCoords
 from .jetgroup import JetGroupElement, jet_compose
-from .tensors import LowerTensor, ShapeMismatchError, _eq_by_fields, _reduce_by_fields, check_square
+from .tensors import LowerTensor, ShapeMismatchError, check_square, record
 
 
-@dataclass(frozen=True)
+@record(arrays=("x", "y"))
 class GarciaCoords:
     """Point (x, y, z): base, invertible matrix, order-2 tensor."""
 
@@ -34,21 +33,13 @@ class GarciaCoords:
         check_square(y, "y block")
         if self.z.n != self.n or self.z.k != 2:
             raise ShapeMismatchError("z must be an order-2 tensor of matching dimension")
-        x = x.copy()
-        y = y.copy()
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        return {"x": x, "y": y}
 
     @classmethod
     def from_arrays(cls, x, y, z, chart_id: str = "chart0") -> "GarciaCoords":
         z = np.asarray(z, dtype=float)
         n = z.shape[0]
         return cls(n, x, y, LowerTensor(n, 2, z), chart_id)
-
-    __eq__ = _eq_by_fields
-    __reduce__ = _reduce_by_fields
 
     def to_json(self) -> dict:
         return {

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from .tensors import (
     AsymmetryError,
     LowerTensor,
     ShapeMismatchError,
-    _reduce_by_fields,
     asymmetry_witness,
     check_square,
+    record,
     symmetrize_array,
 )
 
@@ -200,7 +200,7 @@ def _validate_tensor_list(n, r, tensors, what):
     return tensors
 
 
-@dataclass(frozen=True)
+@record
 class JetGroupElement:
     """A formal frame at the origin: tensors a[1..r], a[1] invertible."""
 
@@ -211,7 +211,7 @@ class JetGroupElement:
     def __post_init__(self):
         tensors = _validate_tensor_list(self.n, self.r, self.a, "JetGroupElement")
         check_square(tensors[0].entries, "order-1 tensor")
-        object.__setattr__(self, "a", tensors)
+        return {"a": tensors}
 
     @classmethod
     def from_arrays(cls, arrays) -> "JetGroupElement":
@@ -233,7 +233,7 @@ class JetGroupElement:
         return cls(int(data["n"]), int(data["r"]), tensors)
 
 
-@dataclass(frozen=True)
+@record
 class JetAlgebraElement:
     """Tangent vector at the identity, base displacement included.
 
@@ -257,7 +257,7 @@ class JetAlgebraElement:
                 raise ShapeMismatchError(
                     f"JetAlgebraElement: component {k} has wrong shape"
                 )
-        object.__setattr__(self, "X", comps)
+        return {"X": comps}
 
     @classmethod
     def from_arrays(cls, arrays) -> "JetAlgebraElement":
@@ -281,15 +281,18 @@ class JetAlgebraElement:
         return {"n": self.n, "r": self.r, "tensors": [T.to_json() for T in self.X]}
 
 
-@dataclass(frozen=True)
+@record(arrays=("base",))
 class ClassicalJet:
-    """Jet with permutation-symmetric derivative tensors s[1..r]."""
+    """Jet with permutation-symmetric derivative tensors s[1..r].
+
+    ``tol`` bounds the asymmetry it accepts; it is not part of the value.
+    """
 
     n: int
     r: int
     s: tuple = field(default=())
     base: np.ndarray | None = None
-    tol: float = 1e-8
+    tol: float = field(default=1e-8, compare=False)
 
     def __post_init__(self):
         tensors = _validate_tensor_list(self.n, self.r, self.s, "ClassicalJet")
@@ -300,11 +303,10 @@ class ClassicalJet:
                 f"order-{worst['order']} tensor asymmetric "
                 f"(gap {worst['gap']:.3g} > {self.tol:.3g})"
             )
-        object.__setattr__(self, "s", tensors)
-        if self.base is not None:
-            base = np.asarray(self.base, dtype=float).reshape(self.n).copy()
-            base.setflags(write=False)
-            object.__setattr__(self, "base", base)
+        base = self.base
+        if base is not None:
+            base = np.asarray(base, dtype=float).reshape(self.n)
+        return {"s": tensors, "base": base}
 
     @classmethod
     def from_arrays(cls, arrays, base=None, tol: float = 1e-8) -> "ClassicalJet":
@@ -314,11 +316,6 @@ class ClassicalJet:
             LowerTensor(n, k, arr) for k, arr in enumerate(arrays, start=1)
         )
         return cls(n, len(arrays), tensors, base, tol)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClassicalJet) and self.to_json() == other.to_json()
-
-    __reduce__ = _reduce_by_fields
 
     @property
     def arrays(self):

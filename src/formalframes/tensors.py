@@ -6,10 +6,18 @@ no symmetry is assumed anywhere in this package unless explicitly imposed
 by :func:`symmetrize` or :func:`symmetrize_array`.  Whether it holds is
 tested in one place, :func:`asymmetry_witness`, which every symmetry check
 of the package (tensors, jets, frames) calls.
+
+Every value class of the package is a :func:`record`: a frozen dataclass
+that keeps read-only float copies of its arrays and copies of its dicts,
+compares by value (arrays entry by entry), is unhashable when it holds an
+array or a dict unless it defines its own hash (:class:`LowerTensor` does),
+and pickles as a call of its constructor.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -21,15 +29,6 @@ DEFAULT_RTOL = 1e-9
 COND_LIMIT = 1e8
 
 
-def _reduce_by_fields(obj):
-    """Pickle a frozen dataclass as a call of its constructor on its fields.
-
-    Unpickling then runs ``__post_init__``: arrays come back read-only, and
-    nothing cached in the instance ``__dict__`` travels along.
-    """
-    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
-
-
 def _same_value(x, y) -> bool:
     """Equality that compares arrays, also as dict values, entry by entry."""
     if isinstance(x, dict) and isinstance(y, dict):
@@ -39,11 +38,73 @@ def _same_value(x, y) -> bool:
     return x == y
 
 
-def _eq_by_fields(obj, other) -> bool:
-    """Value equality of a frozen dataclass, field by field."""
-    return isinstance(other, type(obj)) and all(
-        _same_value(getattr(obj, f.name), getattr(other, f.name)) for f in fields(obj)
-    )
+def _read_only(value) -> np.ndarray:
+    """A read-only float copy, in C order."""
+    arr = np.asarray(value, dtype=float).copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _copied(value):
+    """A dict copied with its nested dicts, arrays as read-only float copies, the rest as is."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    return _read_only(value) if isinstance(value, np.ndarray) else value
+
+
+def record(cls=None, /, *, arrays=(), mappings=()):
+    """Make a class a frozen dataclass with the value semantics of this package.
+
+    ``@record`` or ``@record(arrays=(...), mappings=(...))``, naming the fields
+    that hold arrays and dicts.  The class's own ``__post_init__`` keeps only
+    its validation and normalisation: it returns the normalised field values
+    as a dict (or None), and ``record`` sets them.  Each array field (unless
+    None) is set to a read-only float copy, and each mapping field to a copy,
+    its nested dicts copied too and its arrays as read-only float copies; so
+    no record shares state with its caller.  Records compare by value over
+    their ``compare=True`` fields, arrays entry by entry (also as dict
+    values).  A record with an array or a mapping field is unhashable unless
+    its class defines ``__hash__``; the others hash their compared fields.  A
+    record pickles as a call of its constructor, so unpickling re-runs the
+    validation and leaves cached properties behind.
+    """
+    if cls is None:
+        return functools.partial(record, arrays=arrays, mappings=mappings)
+    check = cls.__dict__.get("__post_init__", lambda self: None)
+
+    def post_init(self):
+        values = check(self) or {}
+        for name in arrays:
+            value = values.get(name, getattr(self, name))
+            if value is not None:
+                values[name] = _read_only(value)
+        for name in mappings:
+            values[name] = _copied(values.get(name, getattr(self, name)))
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    cls.__post_init__ = post_init
+    cls = dataclass(frozen=True, eq=False)(cls)
+    names = tuple(f.name for f in fields(cls))
+    compared = tuple(f.name for f in fields(cls) if f.compare)
+
+    def __eq__(self, other):
+        # False, not NotImplemented, against other types: an array would answer elementwise
+        return other.__class__ is self.__class__ and all(
+            _same_value(getattr(self, name), getattr(other, name)) for name in compared
+        )
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in compared))
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in names)
+
+    cls.__eq__ = __eq__
+    if "__hash__" not in cls.__dict__:
+        cls.__hash__ = None if arrays or mappings else __hash__
+    cls.__reduce__ = __reduce__
+    return cls
 
 
 class ShapeMismatchError(ValueError):
@@ -80,7 +141,7 @@ def check_square(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+@record(arrays=("entries",))
 class LowerTensor:
     """T^i_{j1...jk}: one upper index, k ordered (non-commuting) lower indices."""
 
@@ -90,21 +151,26 @@ class LowerTensor:
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=float)
-        expected = (self.n,) * (self.k + 1)
-        if arr.size != self.n ** (self.k + 1):
-            raise ShapeMismatchError(
-                f"need {self.n ** (self.k + 1)} entries for (n={self.n}, k={self.k}), "
-                f"got {arr.size}"
-            )
-        arr = arr.reshape(expected).copy()
-        if not np.isfinite(arr).all():
+        shape = (self.n,) * (self.k + 1)
+        if arr.shape != shape:
+            if arr.size != self.n ** (self.k + 1):
+                raise ShapeMismatchError(
+                    f"need {self.n ** (self.k + 1)} entries for (n={self.n}, k={self.k}), "
+                    f"got {arr.size}"
+                )
+            arr = arr.reshape(shape)
+        # a finite sum has finite terms, so only a non-finite one (or an overflow) needs a scan
+        if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
             bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
             raise ValueError(
                 f"(n={self.n}, k={self.k}) tensor has non-finite entry "
                 f"{arr[bad]} at index {bad}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        return {"entries": arr}
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which == already counts as equal
+        return hash((self.n, self.k, (self.entries + 0.0).tobytes()))
 
     @classmethod
     def zeros(cls, n: int, k: int) -> "LowerTensor":
@@ -120,19 +186,6 @@ class LowerTensor:
     @classmethod
     def from_json(cls, data: dict) -> "LowerTensor":
         return cls.from_flat(int(data["n"]), int(data["k"]), data["entries"])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LowerTensor)
-            and self.n == other.n
-            and self.k == other.k
-            and bool(np.array_equal(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.entries.tobytes()))
-
-    __reduce__ = _reduce_by_fields
 
 
 def symmetrize(T: LowerTensor) -> LowerTensor:

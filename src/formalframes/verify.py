@@ -10,7 +10,6 @@ produce identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,10 +74,10 @@ from .jetgroup import (
     kappa_project,
 )
 from .oracles import closed_form_compose, taylor_map_compose
-from .tensors import symmetrize_array
+from .tensors import record, symmetrize_array
 
 
-@dataclass(frozen=True)
+@record
 class VerifyConfig:
     seed: int = 0
     trials: int = 50

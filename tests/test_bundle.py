@@ -24,6 +24,8 @@ from formalframes import (
     tangent_iso,
     transition_jet,
 )
+from formalframes.bundle import translation_matrix
+from formalframes.tensors import COND_LIMIT
 
 
 def test_right_action_pin():
@@ -172,6 +174,21 @@ def test_ill_conditioned_frame_raises_on_every_access():
             tangent_iso(u)
         with pytest.raises(SingularityError):
             u.iso
+
+
+@pytest.mark.parametrize("scale, raises", [(0.02, True), (1.0, False)])
+def test_translation_matrix_is_judged_by_the_package_condition_guard(scale, raises):
+    """L_u goes through `check_square`: cond 6.2e9 at u¹ = 0.02·I raises, 1.4e3 at u¹ = I does not."""
+    rng = np.random.default_rng(0)
+    arrays = [scale * np.eye(3)] + [rng.standard_normal((3,) * (k + 1)) for k in range(2, 5)]
+    u = FrameCoords.from_arrays(np.zeros(3), arrays)
+    cond = np.linalg.cond(translation_matrix(u.arrays, 3, 4))
+    assert (cond > COND_LIMIT) == raises
+    if raises:
+        with pytest.raises(SingularityError, match="right-translation matrix is singular"):
+            u.iso
+    else:
+        assert u.iso.matrix.shape == (algebra_size(3, 4),) * 2
 
 
 def test_canonical_form_checks_the_tangent_shape():

@@ -210,6 +210,70 @@ def test_one_function_loops_over_the_product_terms():
     assert {name: hits for name, hits in found.items() if hits} == {"jetgroup.py": ["_plan"]}
 
 
+def record_seams(source: str):
+    """Where a module copies, freezes or declares record fields by hand, as (line, class, what).
+
+    A ``__post_init__`` may not call ``object.__setattr__`` or ``.setflags(``:
+    it sets normalised values with ``self._set``, and ``tensors.record`` copies
+    and freezes them.  A dataclass field annotated as an array or a dict must
+    be declared to ``record`` (``arrays=`` or ``mappings=``), so a plain
+    dataclass may not hold one.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                for call in ast.walk(item):
+                    func = getattr(call, "func", None)
+                    if isinstance(call, ast.Call) and isinstance(func, ast.Attribute) and (
+                        func.attr == "setflags"
+                        or func.attr == "__setattr__" and getattr(func.value, "id", "") == "object"
+                    ):
+                        found.append((call.lineno, node.name, func.attr))
+        declared = None
+        for deco in node.decorator_list:
+            name = getattr(getattr(deco, "func", deco), "id", None)
+            if name in ("dataclass", "record"):
+                declared = {kw.arg: {elt.value for elt in kw.value.elts}
+                            for kw in getattr(deco, "keywords", []) if name == "record"}
+        for item in node.body:
+            if declared is None or not isinstance(item, ast.AnnAssign):
+                continue
+            kind = re.search(r"\b(ndarray|dict)\b", ast.unparse(item.annotation))
+            kind = kind and {"ndarray": "arrays", "dict": "mappings"}[kind.group(1)]
+            if kind and item.target.id not in declared.get(kind, ()):
+                found.append((item.lineno, node.name, item.target.id))
+    return sorted(found)
+
+
+def test_record_seam_scan_finds_every_form():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: np.ndarray\n    n: int\n"
+        "    def __post_init__(self):\n        object.__setattr__(self, 'n', 1)\n"
+        "        self.x.setflags(write=False)\n"
+        "@record(arrays=('x',))\nclass B:\n    x: np.ndarray\n    d: dict\n"
+        "    y: np.ndarray | None = None\n"
+        "@record(arrays=('x',), mappings=('d',))\nclass C:\n    x: np.ndarray\n    d: dict\n"
+        "    def __post_init__(self):\n        self._set(x=self.x)\n"
+        "@record\nclass D:\n    t: tuple\n    def helper(self):\n        object.__setattr__(self, 't', ())\n"
+        "class E(NamedTuple):\n    x: np.ndarray\n"
+    )
+    assert record_seams(source) == [
+        (3, "A", "x"), (6, "A", "__setattr__"), (7, "A", "setflags"), (11, "B", "d"), (12, "B", "y"),
+    ]
+
+
+def test_records_copy_and_freeze_through_one_helper():
+    found = {
+        path.name: record_seams(path.read_text())
+        for path in sorted(Path(formalframes.__file__).parent.glob("*.py"))
+    }
+    assert len(found) == 15
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def loaded_submodules(argv, stdin=""):
     """Submodules of the package a fresh ``python3 argv…`` process imports, and the process."""
     done = subprocess.run([sys.executable, "-X", "importtime", *argv], input=stdin,
