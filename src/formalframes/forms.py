@@ -140,11 +140,17 @@ class FrameCalculus:
     coordinates (columns N..M-1), so every θ⊗θ product lives on the (N, N)
     block of coordinate pairs and ∂θ on the columns below N.
 
+    ∂θ comes from one sweep, `_sweep`, over the coordinate segments of
+    `translation_matrix_derivative`.  The rows of orders 0..r−2, all that
+    torsion and curvature tables read, are kept in one read-only (R, M, N)
+    block: filled by the sweep of `partials` when that is asked for, or else
+    by one sweep on the first table that needs ∂θ.
+
     Tables: `dtheta_component`, `torsion_table`, `curvature_table` and
     `base_torsion_table` all come from one writer, `_table`, which fills
     its fresh (R, M, M) output once, region by region, from the (R, M, N)
-    block of ∂θ (a view of the kept `partials`, or just those rows
-    computed afresh) and the wedge sum, one batched matmul.
+    block of ∂θ of its rows (`_partial_rows`) and the wedge sum, one
+    batched matmul.
     """
 
     def __init__(self, u: FrameCoords):
@@ -159,6 +165,9 @@ class FrameCalculus:
         self.theta_table[:, : self.N] = self._Linv
         self._offsets = flat_offsets(self.n, self.r)
         self._partials = None
+        # the kept ∂θ rows of orders 0..r-2, and how many they are
+        self._block = None
+        self._kept_rows = int(self._offsets[self.r - 1])
 
     # -- component views ---------------------------------------------------
 
@@ -174,35 +183,58 @@ class FrameCalculus:
 
     @property
     def partials(self) -> np.ndarray:
-        """G[c, A, B] = ∂_A θ_B[c], exact; shape (N, M, M), 8·N·M² bytes."""
+        """G[c, A, B] = ∂_A θ_B[c], exact; shape (N, M, M), read-only.
+
+        A view of a zeroed buffer laid out (B, A, c).  The sweep writes only
+        its columns B < N, so the zero columns B ≥ N form one contiguous tail
+        that is never touched and stays unbacked: 8·N·M·N resident bytes of
+        the 8·N·M² it spans (40 of 121 MiB at n = 3, r = 4).  The same sweep
+        fills the kept block of the lower orders that the tables read.
+        """
         if self._partials is None:
-            self._partials = self._partial_block(slice(None), self.M)
+            full = np.zeros((self.M, self.M, self.N))
+            self._block = self._sweep(slice(None), self._kept_rows, full[: self.N])
+            full.setflags(write=False)
+            self._partials = full.transpose(2, 1, 0)
         return self._partials
 
     def _partial_rows(self, rows: slice) -> np.ndarray:
         """The nonzero block [:, :, :N] of the given rows of `partials`: (R, M, N).
 
-        A view of the kept array, or just that block computed afresh.
+        Read-only.  Rows of orders below r − 1 are a view of the kept block,
+        which a calc without kept partials fills in one sweep on first use;
+        rows of the top order are a view of the kept partials, or computed
+        for just those rows.
         """
+        if rows.stop <= self._kept_rows:
+            if self._block is None:
+                self._block = self._sweep(slice(0, self._kept_rows), self._kept_rows)
+            return self._block[rows]
         if self._partials is not None:
             return self._partials[rows, :, : self.N]
-        return self._partial_block(rows, self.N)
+        return self._sweep(rows, rows.stop - rows.start)
 
-    def _partial_block(self, rows: slice, width: int) -> np.ndarray:
-        """The given rows of `partials` on columns < width (N or M): (R, M, width).
+    def _sweep(self, rows: slice, kept: int, full: np.ndarray | None = None) -> np.ndarray:
+        """∂θ of the given rows on columns < N, one matmul per coordinate segment.
 
         ∂_A θ_B = −(L⁻¹ (∂_A L) L⁻¹)_B for B < N and 0 for the top-order B,
         so each ∂_A θ is a sum of outer products, one per triplet of ∂_A L.
+        Returns the first `kept` rows as a read-only (kept, M, N) array,
+        axes (c, A, B); `full`, if given, gets every row, axes (B, A, c).
         """
         A, j, k, value = translation_matrix_derivative(self.n, self.r)
         left = -self._Linv[rows][:, j] * value  # (R, nnz)
         right = self._Linv[k]  # (nnz, N)
-        out = np.zeros((left.shape[0], self.M, width))
+        out = np.zeros((kept, self.M, self.N))
         bounds = np.searchsorted(A, np.arange(self.M + 1))
         for a in range(self.M):
             s, e = bounds[a], bounds[a + 1]
             if s < e:
-                out[:, a, : self.N] = left[:, s:e] @ right[s:e]
+                block = left[:, s:e] @ right[s:e]
+                out[:, a] = block[:kept]
+                if full is not None:
+                    full[:, a] = block.T
+        out.setflags(write=False)
         return out
 
     def dtheta_component(self, k: int) -> np.ndarray:
@@ -329,14 +361,16 @@ def canonical_form(u: FrameCoords, X: BundleTangent) -> JetAlgebraElement:
 def form_partials(u: FrameCoords, component: int | None = None) -> np.ndarray:
     """Exact partials of θ-components w.r.t. all natural coordinates.
 
-    Returns the full (N, M, M) array G[c, A, B] = ∂_A θ_B[c], or the rows
-    of one component order if `component` is given.
+    Returns the full, read-only (N, M, M) array G[c, A, B] = ∂_A θ_B[c], or
+    a fresh array of the rows of one component order if `component` is given.
     """
     calc = FrameCalculus(u)
     if component is None:
         return calc.partials
-    rows = calc._partial_block(calc.component_rows(component), calc.M)
-    return rows.reshape((u.n,) * (component + 1) + (calc.M, calc.M))
+    rows = calc.component_rows(component)
+    out = np.zeros((rows.stop - rows.start, calc.M, calc.M))
+    out[..., : calc.N] = calc._partial_rows(rows)
+    return out.reshape((u.n,) * (component + 1) + (calc.M, calc.M))
 
 
 def _pair_value(table: np.ndarray, X: BundleTangent, Y: BundleTangent) -> np.ndarray:

@@ -8,17 +8,19 @@ tested in one place, :func:`asymmetry_witness`, which every symmetry check
 of the package (tensors, jets, frames) calls.
 
 Every value class of the package is a :func:`record`: a frozen dataclass
-that keeps read-only float copies of its arrays and copies of its dicts,
-compares by value (arrays entry by entry), is unhashable when it holds an
-array or a dict unless it defines its own hash (:class:`LowerTensor` does),
-and pickles as a call of its constructor.
+that keeps read-only float copies of its arrays and read-only copies of
+its dicts, compares by value (arrays entry by entry), is unhashable when it
+holds an array or a dict unless it defines its own hash (:class:`LowerTensor`
+does), and pickles as a call of its constructor.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,8 +32,8 @@ COND_LIMIT = 1e8
 
 
 def _same_value(x, y) -> bool:
-    """Equality that compares arrays, also as dict values, entry by entry."""
-    if isinstance(x, dict) and isinstance(y, dict):
+    """Equality that compares arrays, also as mapping values, entry by entry."""
+    if isinstance(x, Mapping) and isinstance(y, Mapping):
         return x.keys() == y.keys() and all(_same_value(x[key], y[key]) for key in x)
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return bool(np.array_equal(x, y))
@@ -46,10 +48,17 @@ def _read_only(value) -> np.ndarray:
 
 
 def _copied(value):
-    """A dict copied with its nested dicts, arrays as read-only float copies, the rest as is."""
-    if isinstance(value, dict):
-        return {key: _copied(item) for key, item in value.items()}
+    """A mapping as a read-only copy, nested mappings too, arrays as read-only float copies."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: _copied(item) for key, item in value.items()})
     return _read_only(value) if isinstance(value, np.ndarray) else value
+
+
+def _plain(value):
+    """A mapping as a plain dict, its nested mappings too: what a record pickles."""
+    if isinstance(value, Mapping):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
 
 
 def record(cls=None, /, *, arrays=(), mappings=()):
@@ -59,14 +68,15 @@ def record(cls=None, /, *, arrays=(), mappings=()):
     that hold arrays and dicts.  The class's own ``__post_init__`` keeps only
     its validation and normalisation: it returns the normalised field values
     as a dict (or None), and ``record`` sets them.  Each array field (unless
-    None) is set to a read-only float copy, and each mapping field to a copy,
-    its nested dicts copied too and its arrays as read-only float copies; so
-    no record shares state with its caller.  Records compare by value over
-    their ``compare=True`` fields, arrays entry by entry (also as dict
+    None) is set to a read-only float copy, and each mapping field to a
+    read-only copy (a ``types.MappingProxyType``), its nested mappings too and
+    its arrays as read-only float copies; so no record shares state with its
+    caller, and none changes after it is made.  Records compare by value over
+    their ``compare=True`` fields, arrays entry by entry (also as mapping
     values).  A record with an array or a mapping field is unhashable unless
     its class defines ``__hash__``; the others hash their compared fields.  A
-    record pickles as a call of its constructor, so unpickling re-runs the
-    validation and leaves cached properties behind.
+    record pickles as a call of its constructor, its mappings as plain dicts,
+    so unpickling re-runs the validation and leaves cached properties behind.
     """
     if cls is None:
         return functools.partial(record, arrays=arrays, mappings=mappings)
@@ -98,7 +108,7 @@ def record(cls=None, /, *, arrays=(), mappings=()):
         return hash(tuple(getattr(self, name) for name in compared))
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in names)
+        return self.__class__, tuple(_plain(getattr(self, name)) for name in names)
 
     cls.__eq__ = __eq__
     if "__hash__" not in cls.__dict__:

@@ -9,7 +9,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 
-from formalframes import FrameCoords, jetgroup, taylor
+from formalframes import FrameCoords, forms, jetgroup, taylor
 
 # the verify suites' random data, re-exported to the test modules
 from formalframes.verify import (  # noqa: F401
@@ -114,3 +114,24 @@ def per_term_order_k(a_arrays, b_arrays, k, db_arrays=None):
         zeros = np.zeros((len(a_arrays[0]),) * (k + 1), np.result_type(a_arrays[0], *like))
         return zeros + 0 * a_arrays[0].flat[0]
     return acc
+
+
+# -- the per-coordinate ∂θ block that the one sweep of forms.FrameCalculus replaced
+
+
+def per_coordinate_partial_block(calc, rows, width):
+    """The given rows of `calc.partials` on columns < width (N or M): (R, M, width).
+
+    ∂_A θ_B = −(L⁻¹ (∂_A L) L⁻¹)_B for B < N and 0 for the top-order B,
+    so each ∂_A θ is a sum of outer products, one per triplet of ∂_A L.
+    """
+    A, j, k, value = forms.translation_matrix_derivative(calc.n, calc.r)
+    left = -calc._Linv[rows][:, j] * value  # (R, nnz)
+    right = calc._Linv[k]  # (nnz, N)
+    out = np.zeros((left.shape[0], calc.M, width))
+    bounds = np.searchsorted(A, np.arange(calc.M + 1))
+    for a in range(calc.M):
+        s, e = bounds[a], bounds[a + 1]
+        if s < e:
+            out[:, a, : calc.N] = left[:, s:e] @ right[s:e]
+    return out

@@ -1,9 +1,20 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import frame1d, gap, rand_frame, rand_group, rand_tangent
+from conftest import (
+    frame1d,
+    gap,
+    per_coordinate_partial_block,
+    rand_frame,
+    rand_group,
+    rand_tangent,
+)
 
 from formalframes import (
     BundleTangent,
@@ -548,3 +559,90 @@ def test_torsion_tables_do_not_need_kept_partials():
     assert fresh._partials is None
     rows = kept.partials[kept.component_rows(1)].reshape(2, 2, kept.M, kept.M)
     assert gap(form_partials(u, component=1), rows) < 1e-14
+
+
+def _tables(n, r):
+    """Every ∂θ-reading table of an order-r frame: (name, function of a calc)."""
+    for k in range(r):
+        yield f"dtheta {k}", lambda c, k=k: c.dtheta_component(k)
+    for k in range(1, r):
+        for t in enumerate_torsion_types(k):
+            yield f"torsion {k} {t.p}", lambda c, t=t: c.torsion_table(t)
+    if r >= 2:
+        yield "curvature", lambda c: c.curvature_table()
+
+
+@pytest.mark.parametrize("n,r", [(1, 4), (2, 4), (3, 3), (3, 4)])
+def test_one_sweep_equals_the_per_coordinate_block(n, r):
+    u = rand_frame(np.random.default_rng(80 + n + r), n, r)
+    kept, fresh, ref = FrameCalculus(u), FrameCalculus(u), FrameCalculus(u)
+    G = per_coordinate_partial_block(ref, slice(None), ref.M)
+    P = kept.partials
+    assert np.array_equal(P, G) and not P.flags.writeable
+    # the writer as it read kept partials before the sweep
+    nonzero = G[:, :, : ref.N].copy()
+    ref._partial_rows = lambda rows: nonzero[rows]
+    del G
+    for name, table in _tables(n, r):
+        want = table(ref)
+        assert np.array_equal(table(kept), want), name
+        # other row counts may take other BLAS kernels: equal to rounding
+        got = table(fresh)
+        np.abs(np.subtract(got, want, out=got), out=got)
+        assert got.max() <= 1e-14 * np.abs(want).max(), name
+    assert fresh._partials is None
+
+
+@pytest.mark.parametrize("n,r", [(2, 4), (3, 3)])
+def test_tables_of_a_calc_share_one_sweep(monkeypatch, n, r):
+    sweeps = []
+    sweep = FrameCalculus._sweep
+
+    def counted(calc, *args):
+        sweeps.append(args[0])
+        return sweep(calc, *args)
+
+    monkeypatch.setattr(FrameCalculus, "_sweep", counted)
+    u = rand_frame(np.random.default_rng(85), n, r)
+    realizability_check(u)  # base-pair tables need no ∂θ
+    assert sweeps == []
+    for keep in (False, True):
+        calc = FrameCalculus(u)
+        if keep:
+            calc.partials
+        for k in range(1, r):
+            for t in enumerate_torsion_types(k):
+                calc.torsion_table(t)
+        calc.curvature_table()
+        for k in range(r - 1):
+            calc.dtheta_component(k)
+        assert len(sweeps) == 1, keep
+        # top-order rows: a view of the kept partials, or computed on demand
+        calc.dtheta_component(r - 1)
+        assert len(sweeps) == 1 + (not keep), keep
+        sweeps.clear()
+
+
+def test_partials_leave_their_zero_columns_unbacked():
+    # ru_maxrss is in KiB on Linux; the zero columns B >= N are two thirds of the array
+    code = """if True:
+        import resource
+        import numpy as np
+        from formalframes import FrameCalculus, forms
+        from formalframes.verify import rand_frame
+        calc = FrameCalculus(rand_frame(np.random.default_rng(90), 3, 4))
+        forms.translation_matrix_derivative(3, 4)
+        np.ones((200, 200)) @ np.ones((200, 200))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        G = calc.partials
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(1024 * (after - before), G.nbytes)
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    grown, nbytes = map(int, done.stdout.split())
+    assert nbytes == 8 * 120 * 363 ** 2
+    assert grown < nbytes / 2

@@ -51,6 +51,38 @@ def test_internals_read_by_the_tracer_and_warmer(monkeypatch):
     G = calc.partials
     assert calc._partials is G and calc.partials is G
     assert isinstance(FrameCalculus.__dict__["partials"], property)
+    # the tracer sees one partials computation per frame of a frame-forms
+    # chain, of 8·N·M² bytes, so forms.partials_bytes stays comparable
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        calc = FrameCalculus(rand_frame(np.random.default_rng(72), 2, 4))
+        calc.partials
+        for k in range(1, calc.r):
+            for t in forms.enumerate_torsion_types(k):
+                calc.torsion_table(t)
+        calc.curvature_table()
+        calc.partials
+    finally:
+        tracer.uninstall()
+    assert tracer.partials_bytes == calc.partials.nbytes == 8 * calc.N * calc.M ** 2
+    # forms does no work at import or warm-up beyond filling `_DL_CACHE`
+    code = """if True:
+        import warm
+        from formalframes import forms
+        plans = forms._wedge_plan.cache_info
+        assert forms._DL_CACHE == {} and plans().currsize == 0
+        warm.warm("frame-forms")
+        assert sorted(forms._DL_CACHE) == sorted(warm.WARM["frame-forms"][1])
+        assert plans().currsize == 0
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
     assert isinstance(forms._DL_CACHE, dict)
     triplets = forms.translation_matrix_derivative(2, 3)
     assert forms._DL_CACHE[(2, 3)] is triplets

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import pickle
 import pkgutil
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -88,10 +89,10 @@ SAMPLES = {
 
 
 def reachable_arrays(value):
-    """Arrays among the fields of a record, in tuples, lists, dicts and records, at any depth."""
+    """Arrays among the fields of a record, in tuples, lists, mappings and records, at any depth."""
     if isinstance(value, np.ndarray):
         yield value
-    elif isinstance(value, dict):
+    elif isinstance(value, Mapping):
         for item in value.values():
             yield from reachable_arrays(item)
     elif isinstance(value, (tuple, list)):
@@ -155,6 +156,26 @@ def test_mapping_fields_do_not_alias_the_caller():
     mu = pair.mu("c0")
     tables["c0"]["mu"] = "junk"
     assert pair.mu("c0") is mu
+
+
+def test_mapping_fields_are_read_only():
+    rng = np.random.default_rng(4)
+    P = PolyField(1, (1,), {(0,): [1.0]})
+    assert np.array_equal(P.evaluate([2.0]), [1.0])
+    with pytest.raises(TypeError):  # a term added later would not reach the cached `_terms`
+        P.coeffs[(1,)] = np.array([3.0])
+    assert np.array_equal(P.evaluate([2.0]), [1.0]) and P == PolyField(1, (1,), {(0,): [1.0]})
+    pair = DeformationPair(2, {"c0": {"theta": poly(rng, 2, (2, 2, 2)),
+                                      "mu": poly(rng, 2, (2, 2, 2))}})
+    with pytest.raises(TypeError):
+        pair.charts["c0"]["mu"] = "junk"
+    with pytest.raises(TypeError):
+        pair.charts["c1"] = {}
+    # pickled as plain dicts, which the constructor freezes again
+    back = pickle.loads(pickle.dumps(pair))
+    assert back == pair
+    with pytest.raises(TypeError):
+        back.charts["c0"]["mu"] = "junk"
 
 
 def test_equal_records_hash_equal():
