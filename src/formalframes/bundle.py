@@ -19,6 +19,8 @@ import numpy as np
 from .jetgroup import (
     JetAlgebraElement,
     JetGroupElement,
+    _flatten,
+    _graded,
     _validate_tensor_list,
     compose_right_derivative,
     compose_tensors,
@@ -26,13 +28,7 @@ from .jetgroup import (
     identity_arrays,
     unflatten,
 )
-from .tensors import (
-    LowerTensor,
-    ShapeMismatchError,
-    check_square,
-    close,
-    record,
-)
+from .tensors import LowerTensor, ShapeMismatchError, check_square, close, record
 
 if TYPE_CHECKING:  # annotations only: one-shot commands need not load charts or taylor
     from .charts import TransitionJet
@@ -66,12 +62,8 @@ class FrameCoords:
 
     @classmethod
     def from_arrays(cls, base, arrays, chart_id: str = "chart0") -> "FrameCoords":
-        arrays = [np.asarray(arr, dtype=float) for arr in arrays]
-        n = arrays[0].shape[0]
-        tensors = tuple(
-            LowerTensor(n, k, arr) for k, arr in enumerate(arrays, start=1)
-        )
-        return cls(n, len(arrays), base, tensors, chart_id)
+        tensors = _graded(arrays)
+        return cls(tensors[0].n, len(tensors), base, tensors, chart_id)
 
     @classmethod
     def identity_frame(cls, n: int, r: int, chart_id: str = "chart0") -> "FrameCoords":
@@ -87,7 +79,7 @@ class FrameCoords:
         return [T.entries for T in self.a]
 
     def coords_flat(self) -> np.ndarray:
-        return np.concatenate([self.base] + [arr.ravel() for arr in self.arrays])
+        return _flatten([self.base, *self.arrays])
 
     def to_json(self) -> dict:
         return {
@@ -98,12 +90,9 @@ class FrameCoords:
 
     @classmethod
     def from_json(cls, data: dict) -> "FrameCoords":
-        tensors = [LowerTensor.from_json(t) for t in data["tensors"]]
-        return cls.from_arrays(
-            np.asarray(data["base"], dtype=float),
-            [T.entries for T in tensors],
-            data.get("chart", "chart0"),
-        )
+        base = np.asarray(data["base"], dtype=float)
+        tensors = tuple(LowerTensor.from_json(t) for t in data["tensors"])
+        return cls(base.size, len(tensors), base, tensors, data.get("chart", "chart0"))
 
 
 @record(arrays=("d_base",))
@@ -122,12 +111,9 @@ class BundleTangent:
 
     @classmethod
     def from_arrays(cls, d_base, arrays) -> "BundleTangent":
-        arrays = [np.asarray(arr, dtype=float) for arr in arrays]
         n = np.asarray(d_base).reshape(-1).shape[0]
-        tensors = tuple(
-            LowerTensor(n, k, arr) for k, arr in enumerate(arrays, start=1)
-        )
-        return cls(n, len(arrays), d_base, tensors)
+        tensors = _graded(arrays, n=n)
+        return cls(n, len(tensors), d_base, tensors)
 
     @classmethod
     def from_flat(cls, n: int, r: int, vec) -> "BundleTangent":
@@ -139,7 +125,7 @@ class BundleTangent:
         return [T.entries for T in self.d_tensors]
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.d_base] + [arr.ravel() for arr in self.arrays])
+        return _flatten([self.d_base, *self.arrays])
 
     def to_json(self) -> dict:
         return {"d_base": self.d_base.tolist(), "tensors": [T.to_json() for T in self.d_tensors]}
@@ -271,7 +257,7 @@ def translation_matrix(u_arrays, n: int, r: int) -> np.ndarray:
     """
     A, row, col, multiplicity = _translation_table(n, r)
     side = algebra_size(n, r)
-    coords = np.concatenate([np.ravel(arr) for arr in u_arrays])
+    coords = _flatten(u_arrays)
     L = np.bincount(row * side + col, multiplicity * coords[A - n], minlength=side * side)
     return L.reshape(side, side)
 

@@ -12,9 +12,9 @@ from dataclasses import field
 
 import numpy as np
 
-from .jetgroup import ClassicalJet, JetGroupElement, epsilon_embed
+from .jetgroup import ClassicalJet, JetGroupElement, _graded, _validate_tensor_list, epsilon_embed
 from .taylor import TaylorScalar, compose_all, derivative_tensor, shift_all
-from .tensors import LowerTensor, ShapeMismatchError, SingularityError, record
+from .tensors import ShapeMismatchError, SingularityError, record
 
 
 @record(mappings=("coeffs",))
@@ -85,7 +85,8 @@ class SmoothMapSpec:
 
     @classmethod
     def composite(cls, *maps) -> "SmoothMapSpec":
-        return cls("composite", maps[0].m_in, maps[-1].m_out, maps=tuple(maps))
+        """m_in and m_out are read off the maps once they are checked."""
+        return cls("composite", 0, 0, maps=maps)
 
     # -- evaluation --------------------------------------------------------
 
@@ -170,7 +171,8 @@ class TransitionJet:
     D: tuple  # LowerTensors, D[k-1] of lower order k
 
     def __post_init__(self):
-        return {"D": tuple(self.D)}
+        D = tuple(self.D)
+        return {"D": _validate_tensor_list(np.size(self.value), len(D), D, "TransitionJet")}
 
     @property
     def order(self) -> int:
@@ -186,11 +188,8 @@ def transition_jet(map_spec: SmoothMapSpec, p, order: int) -> TransitionJet:
         raise ShapeMismatchError("transition jets require an endomorphism-shaped map")
     comps = map_spec.taylor_at(p, order)
     value = np.array([f.coefficient((0,) * map_spec.m_in) for f in comps])
-    tensors = [
-        LowerTensor(map_spec.m_in, k, derivative_tensor(comps, k))
-        for k in range(1, order + 1)
-    ]
-    return TransitionJet(np.asarray(p, dtype=float), value, tuple(tensors))
+    tensors = _graded([derivative_tensor(comps, k) for k in range(1, order + 1)], n=map_spec.m_in)
+    return TransitionJet(np.asarray(p, dtype=float), value, tensors)
 
 
 def jet_of_transition_as_group(T: TransitionJet) -> JetGroupElement:

@@ -171,6 +171,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# every option of the command line; each command declares only those it reads
+_OPTIONS = {
+    "--seed": {"type": int, "default": 0},
+    "--trials": {"type": _positive, "default": 50},
+    "--n": {"type": _positive, "default": 2, "help": "base dimension"},
+    "--r": {"type": _positive, "default": 3, "help": "jet order"},
+    "--atol": {"type": _tolerance, "default": 1e-8},
+    "--rtol": {"type": _tolerance, "default": 1e-8},
+    "--input": {"default": None, "metavar": "FILE"},
+    "--output": {"default": None, "metavar": "FILE"},
+}
+_SAMPLING = ("--seed", "--trials", "--n", "--r", "--atol")
+_DOCUMENT = ("--input", "--output")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formalframes",
@@ -178,24 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        "torsion": (cmd_torsion, "realizability verdicts for frames"),
-        "compose": (cmd_compose, "product of two jet group elements"),
-        "invert": (cmd_invert, "inverse of a jet group element"),
-        "kappa": (cmd_kappa, "symmetrizing projection of a group element"),
-        "schwarzian": (cmd_schwarzian, "Schwarzian derivative of a 1-d map"),
-        "verify": (cmd_verify, "run all seeded verification suites"),
+        "torsion": (cmd_torsion, "realizability verdicts for frames", _SAMPLING + _DOCUMENT),
+        "compose": (cmd_compose, "product of two jet group elements", _DOCUMENT),
+        "invert": (cmd_invert, "inverse of a jet group element", _DOCUMENT),
+        "kappa": (cmd_kappa, "symmetrizing projection of a group element", _DOCUMENT),
+        "schwarzian": (cmd_schwarzian, "Schwarzian derivative of a 1-d map", _DOCUMENT),
+        "verify": (cmd_verify, "run all seeded verification suites",
+                   _SAMPLING + ("--rtol", "--output")),
     }
-    for name, (fn, help_text) in commands.items():
+    for name, (fn, help_text, options) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=_positive, default=50)
-        p.add_argument("--n", type=_positive, default=2, help="base dimension")
-        p.add_argument("--r", type=_positive, default=3, help="jet order")
-        p.add_argument("--atol", type=_tolerance, default=1e-8)
-        p.add_argument("--rtol", type=_tolerance, default=1e-8)
-        p.add_argument("--input", default=None, metavar="FILE")
-        p.add_argument("--output", default=None, metavar="FILE")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 

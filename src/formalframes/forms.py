@@ -316,26 +316,21 @@ class FrameCalculus:
         self._check_torsion_order(t.k)
         return self._table(t.k - 1, tuple(torsion_wedge_terms(t)), self.M)
 
-    def max_torsion(self, orders=None, base_pairs: bool = True) -> tuple[float, dict]:
-        """Largest torsion entry over all orders and insertion types.
+    def max_torsion(self) -> tuple[float, dict]:
+        """Largest torsion entry on base pairs over all orders and insertion types.
 
-        With ``base_pairs=True`` (the realizability criterion) the forms are
-        evaluated on pairs of base-coordinate fields only.  That is the block
-        where asymmetry of the frame tensors shows up: at a frame whose lower
-        tensors are all symmetric, every torsion vanishes on base pairs and on
-        tangents of the symmetric subbundle, but insertion types other than
-        "always last" pick up nonzero values on asymmetric tangent
-        *directions* even there, so the full coordinate table is not the
-        right vanishing test.
+        The forms are evaluated on pairs of base-coordinate fields only (the
+        realizability criterion).  That is the block where asymmetry of the
+        frame tensors shows up: at a frame whose lower tensors are all
+        symmetric, every torsion vanishes on base pairs and on tangents of the
+        symmetric subbundle, but insertion types other than "always last" pick
+        up nonzero values on asymmetric tangent *directions* even there, so the
+        full coordinate table is not the right vanishing test.
         """
         worst, witness = 0.0, {}
-        orders = range(1, self.r) if orders is None else orders
-        for k in orders:
+        for k in range(1, self.r):
             for t in enumerate_torsion_types(k):
-                if base_pairs:
-                    table = self.base_torsion_table(t)
-                else:
-                    table = self.torsion_table(t)
+                table = self.base_torsion_table(t)
                 mag = float(np.max(np.abs(table)))
                 if mag > worst:
                     worst = mag

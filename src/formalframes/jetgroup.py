@@ -186,11 +186,29 @@ def unflatten(n: int, r: int, vec) -> list:
     return [vec[offsets[k]:offsets[k + 1]].reshape((n,) * (k + 1)) for k in range(r)]
 
 
-def _validate_tensor_list(n, r, tensors, what):
+def _flatten(arrays) -> np.ndarray:
+    """One flat vector of consecutive orders in that layout: the inverse of `unflatten`."""
+    return np.concatenate([np.ravel(arr) for arr in arrays])
+
+
+def _graded(arrays, first: int = 1, n: int | None = None) -> tuple:
+    """LowerTensors of orders first, first+1, … of `arrays`; n is the first's unless given."""
+    arrays = [np.asarray(arr, dtype=float) for arr in arrays]
+    if n is None:
+        if not arrays:
+            raise ShapeMismatchError("need at least one tensor")
+        n = arrays[0].shape[0]
+    return tuple(LowerTensor(n, k, arr) for k, arr in enumerate(arrays, start=first))
+
+
+def _validate_tensor_list(n, r, tensors, what, first: int = 1):
+    """The r ≥ 1 LowerTensors of dimension n and orders first, …, first+r−1, as a tuple."""
     tensors = tuple(tensors)
+    if r < 1:
+        raise ShapeMismatchError(f"{what}: order {r}, expected at least 1")
     if len(tensors) != r:
         raise ShapeMismatchError(f"{what}: need {r} tensors, got {len(tensors)}")
-    for k, T in enumerate(tensors, start=1):
+    for k, T in enumerate(tensors, start=first):
         if not isinstance(T, LowerTensor):
             raise ShapeMismatchError(f"{what}: entry {k} is not a LowerTensor")
         if T.n != n or T.k != k:
@@ -215,10 +233,8 @@ class JetGroupElement:
 
     @classmethod
     def from_arrays(cls, arrays) -> "JetGroupElement":
-        arrays = [np.asarray(arr, dtype=float) for arr in arrays]
-        n = arrays[0].shape[0]
-        tensors = [LowerTensor(n, k, arr) for k, arr in enumerate(arrays, start=1)]
-        return cls(n, len(arrays), tuple(tensors))
+        tensors = _graded(arrays)
+        return cls(tensors[0].n, len(tensors), tensors)
 
     @property
     def arrays(self):
@@ -247,31 +263,19 @@ class JetAlgebraElement:
     X: tuple = field(default=())
 
     def __post_init__(self):
-        comps = tuple(self.X)
-        if len(comps) != self.r:
-            raise ShapeMismatchError(
-                f"JetAlgebraElement: need {self.r} components, got {len(comps)}"
-            )
-        for k, T in enumerate(comps):
-            if not isinstance(T, LowerTensor) or T.n != self.n or T.k != k:
-                raise ShapeMismatchError(
-                    f"JetAlgebraElement: component {k} has wrong shape"
-                )
-        return {"X": comps}
+        return {"X": _validate_tensor_list(self.n, self.r, self.X, "JetAlgebraElement", first=0)}
 
     @classmethod
     def from_arrays(cls, arrays) -> "JetAlgebraElement":
-        arrays = [np.asarray(arr, dtype=float) for arr in arrays]
-        n = arrays[0].shape[0]
-        comps = [LowerTensor(n, k, arr) for k, arr in enumerate(arrays)]
-        return cls(n, len(arrays), tuple(comps))
+        comps = _graded(arrays, first=0)
+        return cls(comps[0].n, len(comps), comps)
 
     @property
     def arrays(self):
         return [T.entries for T in self.X]
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([T.entries.ravel() for T in self.X])
+        return _flatten(T.entries for T in self.X)
 
     @classmethod
     def from_flat(cls, n: int, r: int, vec) -> "JetAlgebraElement":
@@ -310,12 +314,8 @@ class ClassicalJet:
 
     @classmethod
     def from_arrays(cls, arrays, base=None, tol: float = 1e-8) -> "ClassicalJet":
-        arrays = [np.asarray(arr, dtype=float) for arr in arrays]
-        n = arrays[0].shape[0]
-        tensors = tuple(
-            LowerTensor(n, k, arr) for k, arr in enumerate(arrays, start=1)
-        )
-        return cls(n, len(arrays), tensors, base, tol)
+        tensors = _graded(arrays)
+        return cls(tensors[0].n, len(tensors), tensors, base, tol)
 
     @property
     def arrays(self):

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import subprocess
 import sys
@@ -5,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from formalframes import FrameCoords, realizability_check
-from formalframes.cli import main
+from formalframes import FrameCoords, LowerTensor, realizability_check
+from formalframes.charts import TransitionJet
+from formalframes.cli import build_parser, main
+from formalframes.tensors import ShapeMismatchError
 from formalframes.verify import rand_frame
 
 CLI = [sys.executable, "-m", "formalframes.cli"]
@@ -179,11 +183,15 @@ def test_tolerances_must_be_finite_and_non_negative(option, value, tmp_path, cap
     frame = tmp_path / "frame.json"
     frame.write_text(json.dumps(FrameCoords.from_arrays(
         [0.1, 0.2], [np.eye(2), np.zeros((2, 2, 2))]).to_json()))
-    for argv in (["verify", "--trials", "1"], ["torsion", "--input", str(frame)]):
+    bad_value = f"argument {option}: expected a finite number of at least 0"
+    # torsion reads no --rtol, so it takes none
+    torsion_error = bad_value if option == "--atol" else "unrecognized arguments: --rtol"
+    for argv, error in ((["verify", "--trials", "1"], bad_value),
+                        (["torsion", "--input", str(frame)], torsion_error)):
         with pytest.raises(SystemExit) as exc:
             main([*argv, option, value])
         assert exc.value.code == 2
-        assert f"argument {option}: expected a finite number of at least 0" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
 
 def test_verify_below_order_two_is_a_configuration_error(capsys):
@@ -206,3 +214,47 @@ def test_verify_writes_an_infinite_residual_as_null(monkeypatch, capsys):
     (entry,) = json.loads(out, parse_constant=reject)["suites"]
     assert entry["worst_residual"] is None and not entry["passed"]
     assert "[FAIL] raises: worst residual inf" in err
+
+
+def test_every_option_is_read_by_its_command():
+    """Each option a subcommand declares appears as ``args.<dest>`` in its function.
+
+    --input and --output are read through `_load` and `_dump`.
+    """
+    readers = {"input": "_load(args)", "output": "_dump("}
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(parser.get_default("fn"))
+        for action in parser._actions:
+            if action.dest == "help":
+                continue
+            if f"args.{action.dest}" not in source and readers.get(action.dest, "\0") not in source:
+                unread.append(f"{name} {action.option_strings[0]}")
+    assert unread == []
+
+
+NO_TENSORS = {"n": 1, "r": 0, "tensors": []}
+MALFORMED = {
+    "torsion": {"chart": "chart0", "base": [0.1], "tensors": []},
+    "compose": {"a": NO_TENSORS, "b": NO_TENSORS},
+    "invert": NO_TENSORS,
+    "kappa": NO_TENSORS,
+    "schwarzian": {"map": {"kind": "composite", "maps": []}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(MALFORMED))
+def test_malformed_documents_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED[command]))
+    assert main([command, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (2, 2)])
+def test_transition_jet_checks_its_tensors(n, k):
+    # a map of R² at order 1 needs one tensor of (n, k) = (2, 1)
+    with pytest.raises(ShapeMismatchError):
+        TransitionJet(np.zeros(2), np.zeros(2), (LowerTensor(n, k, np.ones((n,) * (k + 1))),))

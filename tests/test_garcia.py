@@ -16,6 +16,7 @@ from formalframes import (
     psi_map,
     right_action,
 )
+from formalframes.garcia import garcia_action_formula
 
 
 def frame1d(base, u1, u2):
@@ -63,6 +64,24 @@ def test_action_matches_frame_side():
         frame_side = phi_map(right_action(u, a))
         assert gap(moved.y, frame_side.y) < 1e-10
         assert gap(moved.z.entries, frame_side.z.entries) < 1e-10
+
+
+def test_closed_formula_matches_action():
+    # 1-d pin: the frame (2, 6) acted on by a = (5, 7) is (2·5, 2·7 + 6·5·5) = (10, 164),
+    # so z = 164/10; the a² term alone contributes 2·7/(5·2) = 1.4 of it
+    g = GarciaCoords.from_arrays([0.0], np.array([[2.0]]), np.array([[[3.0]]]))
+    a = JetGroupElement.from_arrays([np.array([[5.0]]), np.array([[[7.0]]])])
+    for moved in (garcia_action(g, a), garcia_action_formula(g, a)):
+        assert moved.y.item() == pytest.approx(10.0)
+        assert moved.z.entries.item() == pytest.approx(16.4)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        n = int(rng.integers(1, 4))
+        g = phi_map(rand_frame(rng, n, 2))
+        a = rand_group(rng, n, 2)
+        moved, direct = garcia_action(g, a), garcia_action_formula(g, a)
+        assert gap(direct.y, moved.y) < 1e-10
+        assert gap(direct.z.entries, moved.z.entries) < 1e-10
 
 
 def test_action_linear_subgroup_formula():
