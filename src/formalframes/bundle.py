@@ -71,7 +71,7 @@ class FrameCoords:
 
     @functools.cached_property
     def iso(self) -> "TangentIso":
-        """L_u, built on first use and kept (not pickled); an ill-conditioned one raises each time."""
+        """L_u and θ = L_u⁻¹, built on first use and kept (not pickled); invertible, as u¹ is."""
         return TangentIso(self)
 
     @property
@@ -264,8 +264,12 @@ def translation_matrix(u_arrays, n: int, r: int) -> np.ndarray:
 
 class TangentIso:
     """The isomorphism L_u between the identity tangent space one order
-    down and the tangent space at u, materialized as a dense matrix.
+    down and the tangent space at u, with its inverse θ = L_u⁻¹.
 
+    L_u is block lower-triangular by order, and each diagonal block is
+    u¹ ⊗ I, so it is invertible exactly when u¹ is: the frame's own
+    `check_square` on u¹ is the only singularity verdict.  θ comes from
+    block forward substitution over the orders, from v = (u¹)⁻¹ alone.
     Each frame builds one, once (`FrameCoords.iso`); its arrays are read-only.
     """
 
@@ -274,12 +278,19 @@ class TangentIso:
         self.N = algebra_size(self.n, self.r)
         self.matrix = translation_matrix(u.arrays, self.n, self.r)
         self.matrix.setflags(write=False)
-        check_square(self.matrix, "right-translation matrix")
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
-        """L_u⁻¹: θ on the coordinate fields of orders below the top."""
-        inverse = np.linalg.inv(self.matrix)
+        """L_u⁻¹: θ on the coordinate fields of orders below the top.
+
+        Rows of order k: θ_k = (v ⊗ I)(I_k − L_{k,<k} θ_{<k}), v = (u¹)⁻¹.
+        """
+        L, n, offsets = self.matrix, self.n, flat_offsets(self.n, self.r)
+        v = np.linalg.inv(L[:n, :n])  # the order-0 diagonal block is u¹ itself
+        inverse = np.eye(self.N)
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            rest = inverse[lo:hi] - L[lo:hi, :lo] @ inverse[:lo]
+            inverse[lo:hi] = (v @ rest.reshape(n, -1)).reshape(rest.shape)
         inverse.setflags(write=False)
         return inverse
 
@@ -293,11 +304,10 @@ class TangentIso:
         return BundleTangent.from_flat(self.n, self.r, flat)
 
     def solve(self, X: BundleTangent) -> JetAlgebraElement:
-        """Invert L_u on the order-(r-1) projection of X (top order dropped)."""
+        """θ(X) = L_u⁻¹ on the order-(r-1) projection of X (top order dropped)."""
         if X.n != self.n or X.r != self.r:
             raise ShapeMismatchError("tangent shape mismatch")
-        sol = np.linalg.solve(self.matrix, X.flat()[: self.N])
-        return JetAlgebraElement.from_flat(self.n, self.r, sol)
+        return JetAlgebraElement.from_flat(self.n, self.r, self.inverse @ X.flat()[: self.N])
 
 
 def tangent_iso(u: FrameCoords) -> TangentIso:

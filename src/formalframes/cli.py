@@ -55,6 +55,9 @@ def cmd_torsion(args) -> int:
     """Realizability verdicts: torsion vanishing vs tensor symmetry."""
     if args.input:
         # single-frame mode: the document is one frame in natural coordinates
+        ignored = [option for option in dict.fromkeys(args.given) if option in _SAMPLING]
+        if ignored:
+            raise ValueError(f"sampling option not allowed with --input: {', '.join(ignored)}")
         frame = FrameCoords.from_json(_load(args))
         res = realizability_check(frame, tol=args.atol)
         _dump({
@@ -182,8 +185,16 @@ _OPTIONS = {
     "--input": {"default": None, "metavar": "FILE"},
     "--output": {"default": None, "metavar": "FILE"},
 }
-_SAMPLING = ("--seed", "--trials", "--n", "--r", "--atol")
+_SAMPLING = ("--seed", "--trials", "--n", "--r")
 _DOCUMENT = ("--input", "--output")
+
+
+class _Given(argparse.Action):
+    """Store an option's value, and note in ``args.given`` that the command line gave it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, option_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,19 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        "torsion": (cmd_torsion, "realizability verdicts for frames", _SAMPLING + _DOCUMENT),
+        "torsion": (cmd_torsion, "realizability verdicts for frames",
+                    _SAMPLING + ("--atol",) + _DOCUMENT),
         "compose": (cmd_compose, "product of two jet group elements", _DOCUMENT),
         "invert": (cmd_invert, "inverse of a jet group element", _DOCUMENT),
         "kappa": (cmd_kappa, "symmetrizing projection of a group element", _DOCUMENT),
         "schwarzian": (cmd_schwarzian, "Schwarzian derivative of a 1-d map", _DOCUMENT),
         "verify": (cmd_verify, "run all seeded verification suites",
-                   _SAMPLING + ("--rtol", "--output")),
+                   _SAMPLING + ("--atol", "--rtol", "--output")),
     }
     for name, (fn, help_text, options) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, given=())
         for option in options:
-            p.add_argument(option, **_OPTIONS[option])
+            p.add_argument(option, action=_Given, **_OPTIONS[option])
     return parser
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundle import BundleTangent, FrameCoords
-from .jetgroup import JetGroupElement, jet_compose
+from .bundle import BundleTangent, FrameCoords, right_action
+from .jetgroup import JetGroupElement
 from .tensors import LowerTensor, ShapeMismatchError, check_square, record
 
 
@@ -97,11 +97,7 @@ def garcia_action(g: GarciaCoords, a: JetGroupElement) -> GarciaCoords:
     """
     if a.r != 2:
         raise ShapeMismatchError("garcia_action expects an order-2 group element")
-    u = psi_map(g)
-    moved = FrameCoords.from_arrays(
-        u.base, jet_compose(JetGroupElement.from_arrays(u.arrays), a).arrays, u.chart_id
-    )
-    return phi_map(moved)
+    return phi_map(right_action(psi_map(g), a))
 
 
 def garcia_canonical_form(g: GarciaCoords, dx, dy) -> np.ndarray:

@@ -8,6 +8,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
+import pytest
 
 from formalframes import FrameCoords, forms, jetgroup, taylor
 
@@ -41,6 +42,36 @@ def pytest_terminal_summary(terminalreporter):
 
 def gap(x, y):
     return float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
+
+
+def check_theta_gates(iso):
+    """θ = L_u⁻¹ of a `TangentIso` meets both gates of its block substitution.
+
+    Residual: max|L·θ − I| ≤ 1e-14 · max(|L|·|θ|).  Reference, where
+    cond(L_u) ≤ 1e8: max|θ − inv(L_u)| ≤ N · cond(L_u) · 2⁻⁵² · max|θ|, the
+    dense inverse's own error bound, so an ill-conditioned L_u is compared
+    only as far as the reference itself is accurate.
+    """
+    L, theta = iso.matrix, iso.inverse
+    N = len(L)
+    assert np.max(np.abs(L @ theta - np.eye(N))) <= 1e-14 * np.max(np.abs(L) @ np.abs(theta))
+    cond = np.linalg.cond(L)
+    if cond <= 1e8:
+        bound = N * cond * 2.0**-52 * np.max(np.abs(theta))
+        assert np.max(np.abs(theta - np.linalg.inv(L))) <= bound
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """(name, operand shapes) of every np.linalg.svd, inv and solve call, in order."""
+    calls = []
+    for name in ("svd", "inv", "solve"):
+        def recorded(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, [np.shape(arg) for arg in args]))
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
 
 
 def frame1d(base, *vals):

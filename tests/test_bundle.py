@@ -1,14 +1,16 @@
 import itertools
+import json
 import pickle
 
 import numpy as np
 import pytest
-from conftest import frame1d, gap, rand_frame, rand_group, rand_tangent
+from conftest import check_theta_gates, frame1d, gap, rand_frame, rand_group, rand_tangent
 
 from formalframes import (
     BundleTangent,
     FrameCoords,
     JetAlgebraElement,
+    LowerTensor,
     ShapeMismatchError,
     SingularityError,
     SmoothMapSpec,
@@ -24,7 +26,7 @@ from formalframes import (
     tangent_iso,
     transition_jet,
 )
-from formalframes.bundle import translation_matrix
+from formalframes.cli import main
 from formalframes.tensors import COND_LIMIT
 
 
@@ -166,29 +168,44 @@ def test_tangent_iso_is_built_once_per_frame():
     assert not L.matrix.flags.writeable and not L.inverse.flags.writeable
 
 
-def test_ill_conditioned_frame_raises_on_every_access():
-    # u¹ is well conditioned, so the frame itself is valid; L_u is not
+def test_ill_conditioned_translation_matrix_is_accepted(tmp_path):
+    # u¹ = I passes the guard, so the frame is valid and L_u invertible, whatever cond(L_u)
     u = FrameCoords.from_arrays(np.zeros(2), [np.eye(2), np.full((2, 2, 2), 1e5)])
+    assert np.linalg.cond(u.iso.matrix) > COND_LIMIT
     for _ in range(2):
-        with pytest.raises(SingularityError):
-            tangent_iso(u)
-        with pytest.raises(SingularityError):
-            u.iso
+        assert tangent_iso(u) is u.iso
+        check_theta_gates(u.iso)
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(u.to_json()))
+    assert main(["torsion", "--input", str(path)]) == 0
 
 
-@pytest.mark.parametrize("scale, raises", [(0.02, True), (1.0, False)])
-def test_translation_matrix_is_judged_by_the_package_condition_guard(scale, raises):
-    """L_u goes through `check_square`: cond 6.2e9 at u¹ = 0.02·I raises, 1.4e3 at u¹ = I does not."""
+@pytest.mark.parametrize("scale, cond_above_limit", [(0.02, True), (1.0, False)])
+def test_translation_matrix_is_judged_by_the_package_condition_guard(
+    scale, cond_above_limit, tmp_path, capsys
+):
+    """L_u is judged through u¹ alone: `check_square` on u¹ is the only verdict.
+
+    At u¹ = 0.02·I, cond(L_u) is 6.2e9 and at u¹ = I 1.4e3; both frames are
+    accepted, and their θ meets the gates.  With u¹ = scale·diag(1, 1, 1e-9)
+    and the same higher tensors, cond(u¹) = 1e9 raises `SingularityError` at
+    construction, and `torsion --input` exits 3.
+    """
     rng = np.random.default_rng(0)
-    arrays = [scale * np.eye(3)] + [rng.standard_normal((3,) * (k + 1)) for k in range(2, 5)]
-    u = FrameCoords.from_arrays(np.zeros(3), arrays)
-    cond = np.linalg.cond(translation_matrix(u.arrays, 3, 4))
-    assert (cond > COND_LIMIT) == raises
-    if raises:
-        with pytest.raises(SingularityError, match="right-translation matrix is singular"):
-            u.iso
-    else:
-        assert u.iso.matrix.shape == (algebra_size(3, 4),) * 2
+    higher = [rng.standard_normal((3,) * (k + 1)) for k in range(2, 5)]
+    u = FrameCoords.from_arrays(np.zeros(3), [scale * np.eye(3), *higher])
+    assert (np.linalg.cond(u.iso.matrix) > COND_LIMIT) == cond_above_limit
+    assert u.iso.matrix.shape == (algebra_size(3, 4),) * 2
+    check_theta_gates(u.iso)
+    singular = [scale * np.diag([1.0, 1.0, 1e-9]), *higher]
+    with pytest.raises(SingularityError, match="order-1 frame tensor is singular"):
+        FrameCoords.from_arrays(np.zeros(3), singular)
+    path = tmp_path / "frame.json"
+    doc = {**u.to_json(), "tensors": [LowerTensor(3, k, a).to_json()
+                                      for k, a in enumerate(singular, start=1)]}
+    path.write_text(json.dumps(doc))
+    assert main(["torsion", "--input", str(path)]) == 3
+    assert "order-1 frame tensor is singular" in capsys.readouterr().err
 
 
 def test_canonical_form_checks_the_tangent_shape():

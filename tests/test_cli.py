@@ -253,6 +253,30 @@ def test_malformed_documents_exit_2(command, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# options that only torsion's sampling mode reads, next to --input
+SAMPLING_WITH_INPUT = {
+    "--seed": ["--seed", "5"],
+    "--trials": ["--trials", "7"],
+    "--n": ["--n", "3"],
+    "--r": ["--r", "3"],
+    "--seed, --trials": ["--seed", "0", "--trials", "50", "--atol", "1e-6"],
+}
+
+
+@pytest.mark.parametrize("named", sorted(SAMPLING_WITH_INPUT))
+def test_sampling_options_with_input_exit_2(named, tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(FrameCoords.from_arrays(
+        [0.1, 0.2], [np.eye(2), np.zeros((2, 2, 2))]).to_json()))
+    assert main(["torsion", "--input", str(path), *SAMPLING_WITH_INPUT[named]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: sampling option not allowed with --input: {named}\n"
+    # --atol and --output still go with --input
+    out = tmp_path / "verdict.json"
+    assert main(["torsion", "--input", str(path), "--atol", "1e-6", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["realizable"]
+
+
 @pytest.mark.parametrize("n, k", [(3, 1), (2, 2)])
 def test_transition_jet_checks_its_tensors(n, k):
     # a map of R² at order 1 needs one tensor of (n, k) = (2, 1)

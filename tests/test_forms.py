@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    check_theta_gates,
     frame1d,
     gap,
     per_coordinate_partial_block,
@@ -74,8 +75,25 @@ def test_translation_matrix_built_once_per_frame(monkeypatch):
     L = tangent_iso(u)
     assert len(calls) == 1
     assert L is calc.iso
-    assert np.array_equal(calc.theta_table[:, : calc.N], np.linalg.inv(calc.iso.matrix))
-    assert np.array_equal(theta.flat(), np.linalg.solve(calc.iso.matrix, X.flat()[: calc.N]))
+    # one route: canonical_form reads the θ of every FrameCalculus
+    assert np.array_equal(theta.flat(), calc.theta_table[:, : calc.N] @ X.flat()[: calc.N])
+    check_theta_gates(L)
+
+
+@pytest.mark.parametrize("operation", ["realizability_check", "canonical_form", "torsion_table"])
+def test_no_lapack_call_on_more_than_u1(operation, lapack_calls):
+    # θ = L_u⁻¹ by substitution from (u¹)⁻¹: no SVD, inverse or solve of the (N, N) L_u
+    rng = np.random.default_rng(21)
+    u, X = rand_frame(rng, 3, 4), rand_tangent(rng, 3, 4)
+    lapack_calls.clear()
+    {
+        "realizability_check": lambda: realizability_check(u),
+        "canonical_form": lambda: canonical_form(u, X),
+        "torsion_table": lambda: FrameCalculus(u).torsion_table(TorsionType(2, (1,))),
+    }[operation]()
+    assert ("inv", [(3, 3)]) in lapack_calls
+    shapes = [shape for _, operands in lapack_calls for shape in operands]
+    assert all(max(shape, default=0) <= 3 for shape in shapes), lapack_calls
 
 
 def test_form_partials_match_finite_differences():

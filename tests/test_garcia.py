@@ -84,6 +84,15 @@ def test_closed_formula_matches_action():
         assert gap(direct.z.entries, moved.z.entries) < 1e-10
 
 
+def test_action_makes_three_svds(lapack_calls):
+    # one `check_square` each for psi_map's frame, right_action's frame and phi_map's point
+    rng = np.random.default_rng(8)
+    g, a = phi_map(rand_frame(rng, 2, 2)), rand_group(rng, 2, 2)
+    lapack_calls.clear()
+    garcia_action(g, a)
+    assert [name for name, _ in lapack_calls].count("svd") == 3
+
+
 def test_action_linear_subgroup_formula():
     # a with zero second-order slot: y -> y·a, z -> z contracted with a
     rng = np.random.default_rng(3)
