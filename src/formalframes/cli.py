@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -34,7 +35,14 @@ def _dump(doc, args) -> None:
         except OSError as exc:
             raise ShapeMismatchError(f"cannot write output document: {exc}") from exc
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout (`| head`): the verdict stands, and
+            # the flush at exit must not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _load(args) -> dict:

@@ -71,6 +71,12 @@ def torsion_wedge_terms(t: TorsionType):
     complement feeds the second factor.  a = 0 gives θ^i_l ∧ θ^l_{all};
     a = k-1 pairs the top component with θ⁰.
     """
+    return list(_wedge_terms(t))
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_terms(t: TorsionType) -> tuple:
+    """The terms of `torsion_wedge_terms`, built once per torsion type."""
     k = t.k
     terms = []
     for a in range(k):
@@ -79,7 +85,7 @@ def torsion_wedge_terms(t: TorsionType):
             first = S[: p_a - 1] + ("l",) + S[p_a - 1:]
             second = tuple(q for q in range(k - 1) if q not in S)
             terms.append((first, second))
-    return terms
+    return tuple(terms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,16 +147,20 @@ class FrameCalculus:
     block of coordinate pairs and ∂θ on the columns below N.
 
     ∂θ comes from one sweep, `_sweep`, over the coordinate segments of
-    `translation_matrix_derivative`.  The rows of orders 0..r−2, all that
-    torsion and curvature tables read, are kept in one read-only (R, M, N)
-    block: filled by the sweep of `partials` when that is asked for, or else
-    by one sweep on the first table that needs ∂θ.
+    `translation_matrix_derivative`.  Each top-order coordinate A ≥ N has
+    one triplet (j, k, 1) with k < n, so its ∂θ is the rank-one product
+    −L⁻¹[:, j] ⊗ L⁻¹[k, :]: a one-hot factor (`_top_factor`) times the
+    first n rows of L⁻¹.  Only the coordinates below N get a stored ∂θ:
+    the rows of orders 0..r−2, all that torsion and curvature tables read,
+    are kept in one read-only (R, N, N) block, filled by the sweep of
+    `partials` when that is asked for, or else by one sweep on the first
+    table that needs ∂θ.
 
     Tables: `dtheta_component`, `torsion_table`, `curvature_table` and
     `base_torsion_table` all come from one writer, `_table`, which fills
-    its fresh (R, M, M) output once, region by region, from the (R, M, N)
-    block of ∂θ of its rows (`_partial_rows`) and the wedge sum, one
-    batched matmul.
+    its fresh (R, M, M) output once, region by region: the (N, N) block
+    from the (R, N, N) block of ∂θ of its rows (`_partial_rows`) and the
+    wedge sum, one batched matmul; the top-order regions from the factor.
     """
 
     def __init__(self, u: FrameCoords):
@@ -165,7 +175,7 @@ class FrameCalculus:
         self.theta_table[:, : self.N] = self._Linv
         self._offsets = flat_offsets(self.n, self.r)
         self._partials = None
-        # the kept ∂θ rows of orders 0..r-2, and how many they are
+        # the kept ∂θ of rows of orders 0..r-2 on pairs below N, and how many rows
         self._block = None
         self._kept_rows = int(self._offsets[self.r - 1])
 
@@ -199,41 +209,64 @@ class FrameCalculus:
         return self._partials
 
     def _partial_rows(self, rows: slice) -> np.ndarray:
-        """The nonzero block [:, :, :N] of the given rows of `partials`: (R, M, N).
+        """The block [:, :N, :N] of the given rows of `partials`: (R, N, N).
 
         Read-only.  Rows of orders below r − 1 are a view of the kept block,
         which a calc without kept partials fills in one sweep on first use;
         rows of the top order are a view of the kept partials, or computed
-        for just those rows.
+        for just those rows.  The top-order coordinates are `_top_factor`'s.
         """
         if rows.stop <= self._kept_rows:
             if self._block is None:
                 self._block = self._sweep(slice(0, self._kept_rows), self._kept_rows)
             return self._block[rows]
         if self._partials is not None:
-            return self._partials[rows, :, : self.N]
+            return self._partials[rows, : self.N, : self.N]
         return self._sweep(rows, rows.stop - rows.start)
 
+    def _top_factor(self, rows: slice) -> np.ndarray:
+        """E (R, M−N, n) with ∂_A θ_B = E[:, A−N] @ L⁻¹[:n, B] for A ≥ N.
+
+        A top-order coordinate A has one triplet (A, j, k, value) with k < n,
+        the last M − N triplets in order, so E[:, A−N] is one-hot in k:
+        −L⁻¹[rows, j]·value.  Every entry of E @ L⁻¹[:n] is one product.
+        """
+        A, j, k, value = translation_matrix_derivative(self.n, self.r)
+        top = slice(len(A) - (self.M - self.N), None)
+        left = -self._Linv[rows][:, j[top]] * value[top]  # (R, M−N)
+        E = np.zeros(left.shape + (self.n,))
+        E[:, np.arange(self.M - self.N), k[top]] = left
+        return E
+
     def _sweep(self, rows: slice, kept: int, full: np.ndarray | None = None) -> np.ndarray:
-        """∂θ of the given rows on columns < N, one matmul per coordinate segment.
+        """∂θ of the given rows on coordinate pairs below N, one matmul per coordinate.
 
         ∂_A θ_B = −(L⁻¹ (∂_A L) L⁻¹)_B for B < N and 0 for the top-order B,
         so each ∂_A θ is a sum of outer products, one per triplet of ∂_A L.
-        Returns the first `kept` rows as a read-only (kept, M, N) array,
-        axes (c, A, B); `full`, if given, gets every row, axes (B, A, c).
+        Returns the first `kept` rows as a read-only (kept, N, N) array,
+        axes (c, A, B).  `full`, if given, is the (N, M, N) head of the
+        `partials` buffer, axes (B, A, c), and gets every row: coordinates
+        A < N from the same matmuls, the top-order slab A ≥ N from one
+        matmul of L⁻¹[:n]ᵀ with `_top_factor`, inner size n.
         """
         A, j, k, value = translation_matrix_derivative(self.n, self.r)
-        left = -self._Linv[rows][:, j] * value  # (R, nnz)
-        right = self._Linv[k]  # (nnz, N)
-        out = np.zeros((kept, self.M, self.N))
-        bounds = np.searchsorted(A, np.arange(self.M + 1))
-        for a in range(self.M):
+        n, N = self.n, self.N
+        low = np.searchsorted(A, N)  # the triplets of coordinates below N
+        left = -self._Linv[rows][:, j[:low]] * value[:low]  # (R, nnz)
+        right = self._Linv[k[:low]]  # (nnz, N)
+        out = np.zeros((kept, N, N))
+        bounds = np.searchsorted(A[:low], np.arange(N + 1))
+        for a in range(N):
             s, e = bounds[a], bounds[a + 1]
             if s < e:
                 block = left[:, s:e] @ right[s:e]
                 out[:, a] = block[:kept]
                 if full is not None:
                     full[:, a] = block.T
+        if full is not None:
+            Z = self._top_factor(rows).transpose(2, 1, 0).reshape(n, -1)  # (k, (A, c))
+            # a view, since full is contiguous: rows B, columns (A ≥ N, c)
+            np.matmul(self._Linv[:n].T, Z, out=full.reshape(N, -1)[:, N * N:])
         out.setflags(write=False)
         return out
 
@@ -267,32 +300,36 @@ class FrameCalculus:
 
         Shape (n,)*(c+1) + (width, width), written once, by region.  With
         G = ∂θ and W the wedge sum, the (N, N) block is antisym(G + W), the
-        (M−N, N) block is G, the (N, M−N) block is −Gᵀ (θ vanishes on the
-        top-order coordinates) and the rest is zero.  With width = n (base
+        (M−N, N) block is G = E @ L⁻¹[:n] and the (N, M−N) block is −Gᵀ =
+        −L⁻¹[:n]ᵀ @ Eᵀ, from the top-order factor E (θ vanishes on the
+        top-order coordinates), and the rest is zero.  With width = n (base
         pairs) dθ vanishes, since θ does not depend on the base point, and no
         partials are needed.  The component axis is taken in slices whose
         (width, width) planes stay in cache from the matmul to the transposes.
         """
         n, N = self.n, self.N
+        rows = self.component_rows(c)
         inner = min(width, N)
         F1, F2 = self._wedge_factors(c + 1, terms, inner) if terms else (None, None)
-        G = self._partial_rows(self.component_rows(c)) if width > n else None
+        if width > n:
+            G, E, Linv = self._partial_rows(rows), self._top_factor(rows), self._Linv[:n]
+        else:
+            G = None
         out = np.empty((n ** (c + 1), width, width))
         step = max(1, _CACHE_BYTES // out[0].nbytes)
         for s in range(0, len(out), step):
             part = slice(s, s + step)
             o = out[part]
             if F1 is None:
-                H = G[part, :inner]
+                H = G[part]
             else:
                 H = np.matmul(F1[part], F2[part])
                 if G is not None:
-                    H += G[part, :inner]
+                    H += G[part]
             np.subtract(H, H.transpose(0, 2, 1), out=o[:, :inner, :inner])
             if G is not None:
-                top = G[part, N:]
-                o[:, N:, :N] = top
-                np.negative(top.transpose(0, 2, 1), out=o[:, :N, N:])
+                np.matmul(E[part], Linv, out=o[:, N:, :N])
+                np.matmul(-Linv.T, E[part].transpose(0, 2, 1), out=o[:, :N, N:])
                 o[:, N:, N:] = 0.0
         return out.reshape((n,) * (c + 1) + (width, width))
 
@@ -309,12 +346,12 @@ class FrameCalculus:
         behind the realizability criterion.
         """
         self._check_torsion_order(t.k)
-        return self._table(t.k - 1, tuple(torsion_wedge_terms(t)), self.n)
+        return self._table(t.k - 1, _wedge_terms(t), self.n)
 
     def torsion_table(self, t: TorsionType) -> np.ndarray:
         """Θ^{k,t} on all coordinate pairs: shape (n,)*k + (M, M)."""
         self._check_torsion_order(t.k)
-        return self._table(t.k - 1, tuple(torsion_wedge_terms(t)), self.M)
+        return self._table(t.k - 1, _wedge_terms(t), self.M)
 
     def max_torsion(self) -> tuple[float, dict]:
         """Largest torsion entry on base pairs over all orders and insertion types.
@@ -351,21 +388,6 @@ class FrameCalculus:
 
 def canonical_form(u: FrameCoords, X: BundleTangent) -> JetAlgebraElement:
     return u.iso.solve(X)
-
-
-def form_partials(u: FrameCoords, component: int | None = None) -> np.ndarray:
-    """Exact partials of θ-components w.r.t. all natural coordinates.
-
-    Returns the full, read-only (N, M, M) array G[c, A, B] = ∂_A θ_B[c], or
-    a fresh array of the rows of one component order if `component` is given.
-    """
-    calc = FrameCalculus(u)
-    if component is None:
-        return calc.partials
-    rows = calc.component_rows(component)
-    out = np.zeros((rows.stop - rows.start, calc.M, calc.M))
-    out[..., : calc.N] = calc._partial_rows(rows)
-    return out.reshape((u.n,) * (component + 1) + (calc.M, calc.M))
 
 
 def _pair_value(table: np.ndarray, X: BundleTangent, Y: BundleTangent) -> np.ndarray:

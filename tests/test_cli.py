@@ -282,3 +282,15 @@ def test_transition_jet_checks_its_tensors(n, k):
     # a map of R² at order 1 needs one tensor of (n, k) = (2, 1)
     with pytest.raises(ShapeMismatchError):
         TransitionJet(np.zeros(2), np.zeros(2), (LowerTensor(n, k, np.ones((n,) * (k + 1))),))
+
+
+def test_a_closed_stdout_keeps_the_exit_code():
+    # the document is larger than a pipe buffer, so the reader closes it mid-write
+    argv = ["torsion", "--trials", "2000", "--n", "1", "--r", "2"]
+    proc = subprocess.Popen(CLI + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == run_cli(*argv).returncode == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

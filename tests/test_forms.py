@@ -39,7 +39,7 @@ from formalframes import (
 )
 from formalframes import bundle
 from formalframes.bundle import tangent_iso, translation_matrix
-from formalframes.forms import form_partials, torsion_wedge_terms, translation_matrix_derivative
+from formalframes.forms import torsion_wedge_terms, translation_matrix_derivative
 
 
 def test_canonical_form_identity_frame():
@@ -101,7 +101,7 @@ def test_form_partials_match_finite_differences():
     for n, r in [(1, 2), (2, 2), (2, 3)]:
         u = rand_frame(rng, n, r)
         calc = FrameCalculus(u)
-        G = form_partials(u)
+        G = calc.partials
         h = 1e-5
         flat = u.coords_flat()
         for A in rng.choice(calc.M, size=min(4, calc.M), replace=False):
@@ -575,8 +575,11 @@ def test_torsion_tables_do_not_need_kept_partials():
     t = TorsionType(2, (2,))
     assert gap(fresh.torsion_table(t), kept.torsion_table(t)) < 1e-14
     assert fresh._partials is None
-    rows = kept.partials[kept.component_rows(1)].reshape(2, 2, kept.M, kept.M)
-    assert gap(form_partials(u, component=1), rows) < 1e-14
+    N, rows = kept.N, kept.component_rows(1)
+    P = kept.partials[rows]
+    assert gap(fresh._partial_rows(rows), P[:, :N, :N]) < 1e-14
+    assert gap(fresh._top_factor(rows) @ fresh._Linv[: u.n], P[:, N:, :N]) < 1e-14
+    assert not P[:, :, N:].any()
 
 
 def _tables(n, r):
@@ -594,16 +597,23 @@ def _tables(n, r):
 def test_one_sweep_equals_the_per_coordinate_block(n, r):
     u = rand_frame(np.random.default_rng(80 + n + r), n, r)
     kept, fresh, ref = FrameCalculus(u), FrameCalculus(u), FrameCalculus(u)
+    N = ref.N
     G = per_coordinate_partial_block(ref, slice(None), ref.M)
     P = kept.partials
     assert np.array_equal(P, G) and not P.flags.writeable
-    # the writer as it read kept partials before the sweep
-    nonzero = G[:, :, : ref.N].copy()
+    # the writer reading the per-coordinate block on pairs below N
+    nonzero, top = G[:, :N, :N].copy(), G[:, N:, :N].copy()
     ref._partial_rows = lambda rows: nonzero[rows]
     del G
     for name, table in _tables(n, r):
         want = table(ref)
         assert np.array_equal(table(kept), want), name
+        # the top-order regions, written from the rank-one factor
+        c = want.ndim - 3
+        flat = want.reshape(-1, ref.M, ref.M)
+        G_top = top[ref.component_rows(c)]
+        assert np.array_equal(flat[:, N:, :N], G_top), name
+        assert np.array_equal(flat[:, :N, N:], -G_top.transpose(0, 2, 1)), name
         # other row counts may take other BLAS kernels: equal to rounding
         got = table(fresh)
         np.abs(np.subtract(got, want, out=got), out=got)
@@ -664,3 +674,50 @@ def test_partials_leave_their_zero_columns_unbacked():
     grown, nbytes = map(int, done.stdout.split())
     assert nbytes == 8 * 120 * 363 ** 2
     assert grown < nbytes / 2
+
+
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 3), (2, 4), (3, 3), (3, 4), (2, 6), (3, 5), (4, 4)])
+def test_top_order_coordinates_enter_translation_once(n, r):
+    # the rank-one ∂θ of the top-order coordinates rests on this
+    A, j, k, value = translation_matrix_derivative(n, r)
+    N, M = algebra_size(n, r), coord_size(n, r)
+    counts = np.bincount(A, minlength=M)
+    assert (counts[N:] == 1).all() and not (counts[:N] == 1).any()
+    top = A >= N
+    assert (k[top] < n).all() and (value[top] == 1).all()
+    # in a row of order r − 1
+    assert (j[top] >= algebra_size(n, r - 1)).all()
+
+
+def test_kept_block_holds_only_the_pairs_below_n():
+    # ru_maxrss is in KiB on Linux
+    code = """if True:
+        import resource
+        import numpy as np
+        from formalframes import FrameCalculus, TorsionType, forms
+        from formalframes.verify import rand_frame
+        calc = FrameCalculus(rand_frame(np.random.default_rng(90), 3, 4))
+        forms.translation_matrix_derivative(3, 4)
+        np.ones((200, 200)) @ np.ones((200, 200))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        table = calc.torsion_table(TorsionType(1))
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert calc._partials is None
+        print(1024 * (after - before), table.nbytes, calc._block.nbytes, *calc._block.shape)
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    grown, table, block, *shape = map(int, done.stdout.split())
+    assert shape == [39, 120, 120] and block == 8 * 39 * 120 * 120
+    # a block of every coordinate, (39, 363, 120), takes 9.1 MB more; the
+    # bound is the table plus the midpoint of the two blocks
+    old_block = 8 * 39 * 363 * 120
+    assert grown < table + (block + old_block) / 2
+
+
+def test_wedge_terms_are_a_fresh_list_per_call():
+    t = TorsionType(3, (2, 3))
+    terms = torsion_wedge_terms(t)
+    terms.clear()
+    assert len(torsion_wedge_terms(t)) == 4
